@@ -11,10 +11,10 @@ every module that holds it, not only in the defining one;
 :meth:`LayerTracer.patch_function` does that by identity.
 
 Spans are recorded only while :attr:`LayerTracer.active` is set, so set-up
-work (imports, training a paper workload, warming a gateway) lands in
+work (imports, building a model, warming a gateway) lands in
 ``setup_s`` and not in the layer table.  An entry point that no longer
-exists is skipped: its layer's metrics read 0 and the time it took shows in
-``trace.unattributed_pct``.
+exists raises :class:`MissingLayer`, so a renamed layer breaks the traced
+run instead of reading 0.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ class LayerTracer:
     def patch_function(self, module: str, name: str, layer: str,
                        samples_of: Optional[Callable] = None) -> None:
         """Wrap ``module.name`` and every ``repro`` module alias of it."""
-        original = getattr(_module(module), name, None)
+        original = getattr(importlib.import_module(module), name, None)
         if original is None:
-            return
+            raise MissingLayer(f"{layer}: {module}.{name} not found")
         traced = self.wrap(layer, original, samples_of)
         for mod_name, mod in list(sys.modules.items()):
             if mod is None or not mod_name.startswith("repro"):
@@ -107,23 +107,21 @@ class LayerTracer:
     def patch_method(self, module: str, cls: str, name: str, layer: str,
                      samples_of: Optional[Callable] = None) -> None:
         """Wrap the method ``module.cls.name`` for every instance."""
-        owner = getattr(_module(module), cls, None)
-        if owner is not None and name in vars(owner):
-            setattr(owner, name, self.wrap(layer, vars(owner)[name], samples_of))
+        owner = getattr(importlib.import_module(module), cls, None)
+        if owner is None or name not in vars(owner):
+            raise MissingLayer(f"{layer}: {module}.{cls}.{name} not found")
+        setattr(owner, name, self.wrap(layer, vars(owner)[name], samples_of))
 
     def of(self, layer: str) -> List[Span]:
         return [span for span in self.spans if span.layer == layer]
 
 
-def _module(name: str):
-    try:
-        return importlib.import_module(name)
-    except ImportError:
-        return None
+class MissingLayer(LookupError):
+    """A layer entry point the traced run wraps no longer exists."""
 
 
 def install_batch_layers(tracer: LayerTracer) -> None:
-    """Wrap the layers the paper and DSE workloads pass through."""
+    """Wrap the layers the DSE workload passes through."""
     tracer.patch_method("repro.tm.machine", "TsetlinMachine", "fit", "tm.train")
     tracer.patch_function("repro.analysis.measure", "build_mapped_dual_rail", "synth.map")
     tracer.patch_function("repro.sim.program", "compile_program", "program.compile")

@@ -6,8 +6,8 @@ one JSON record as its last line of standard output:
 
 * ``setup_s``: process start (taken by the parent just before it started
   this process) to the first timed call;
-* ``wall_s``, ``ops``, ``latency_p50_ms``, ``latency_p99_ms`` (over the
-  operations), ``peak_rss_mb``: the timed phase;
+* ``wall_s``, ``ops``, ``latencies_ms`` (one per operation, in operation
+  order), ``peak_rss_mb``: the timed phase;
 * ``primary``: the figure trace overhead is judged on;
 * ``attempted``, ``failed``, ``problems``: the output checks;
 * ``layers``: per-layer metrics, with ``--trace 1`` only.
@@ -63,13 +63,12 @@ def main(argv=None) -> int:
             "setup_s": setup_s,
             "wall_s": wall_s,
             "ops": len(latencies),
-            "latency_p50_ms": percentile(latencies, 50),
-            "latency_p99_ms": percentile(latencies, 99),
+            "latencies_ms": latencies,
             "peak_rss_mb": peak_rss_mb,
         }
         # Open-loop wall time is fixed by the arrival schedule, so tracing
         # cost shows in request latency there instead.
-        record["primary"] = (record["latency_p50_ms"] if args.workload == "serve-open"
+        record["primary"] = (percentile(latencies, 50) if args.workload == "serve-open"
                              else wall_s)
         if tracer is not None:
             layers = {}

@@ -2,25 +2,23 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload dse-smoke --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload dse-smoke --seed 1 --seconds 55 --trace 0
 
-Workloads: ``dse-smoke``, ``serve-closed``, ``serve-open`` and, by hand
-only, ``paper`` (see ``perfbench/README.md`` for what each runs and why).  Each repetition runs
-in a fresh process (``rep.py``), one after another, for about
-``--seconds`` and at least three times.
+Workloads: ``dse-smoke`` and ``serve-open`` (see ``perfbench/README.md``
+for what each runs and why).  Each repetition runs in a fresh process
+(``rep.py``), one after another, for about ``--seconds`` and at least
+three times.
 
-Timings come from the fastest repetition: the lowest wall time, the
-highest throughput and the lowest of each latency percentile, which is
-taken over the operations of one repetition.  The benchmark shares a small
-machine with other work, and interference only ever adds time: on a
-shared two-core machine the same sweep took 3.9 to 6.3 s from one
-repetition to the next, while its fastest of four repetitions moved far
-less.  Set-up time and memory are medians over the repetitions.
+Set-up time, wall time, throughput and memory are medians over the
+untraced repetitions.  The latency percentiles are taken over the
+operations of all untraced repetitions together, so that a percentile has
+many operations beyond it (the 95th of a 72-point sweep would have fewer
+than four in one repetition) and a single slow repetition moves it little.
 
 ``--trace 0`` prints the end-to-end metrics of ``BENCHMARK.json``.
 ``--trace 1`` alternates untraced and traced repetitions and prints the
 per-layer metrics: medians over the traced repetitions, plus the tracing
-overhead (fastest traced against fastest untraced repetition).
+overhead (median traced against median untraced repetition).
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  Without the
@@ -42,9 +40,11 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from layers import percentile
+from workloads import WORKLOADS
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("paper", "dse-smoke", "serve-closed", "serve-open")
 #: No repetition starts after this many seconds, so a run ends within 180 s.
 START_LIMIT_S = 120.0
 #: A single repetition that takes longer than this is a failure.
@@ -100,8 +100,8 @@ def repeat(workload: str, seed: int, seconds: float, trace: bool,
         records.append(record)
         print(f"  repetition {len(records)}{' (traced)' if traced else ''}: "
               f"setup {record['setup_s']:.3f} s, wall {record['wall_s']:.3f} s, "
-              f"{record['ops']} ops, p50 {record['latency_p50_ms']:.3f} ms, "
-              f"p99 {record['latency_p99_ms']:.3f} ms")
+              f"{record['ops']} ops, p50 {percentile(record['latencies_ms'], 50):.3f} ms, "
+              f"p95 {percentile(record['latencies_ms'], 95):.3f} ms")
         for problem in record["problems"]:
             print(f"  check failed: {problem}")
 
@@ -113,15 +113,13 @@ def end_to_end(records: List[dict]) -> Dict[str, float]:
     def median(key: str) -> float:
         return statistics.median(r[key] for r in plain)
 
-    def fastest(key: str) -> float:
-        return min(r[key] for r in plain)
-
+    latencies = [ms for r in plain for ms in r["latencies_ms"]]
     return {
         "setup_s": median("setup_s"),
-        "wall_s": fastest("wall_s"),
-        "ops_per_s": max(r["ops"] / r["wall_s"] for r in plain),
-        "latency_p50_ms": fastest("latency_p50_ms"),
-        "latency_p99_ms": fastest("latency_p99_ms"),
+        "wall_s": median("wall_s"),
+        "ops_per_s": statistics.median(r["ops"] / r["wall_s"] for r in plain),
+        "latency_p50_ms": percentile(latencies, 50),
+        "latency_p95_ms": percentile(latencies, 95),
         "peak_rss_mb": median("peak_rss_mb"),
     }
 
@@ -134,8 +132,8 @@ def per_layer(records: List[dict], names: List[str]) -> Dict[str, float]:
         name: statistics.median(r["layers"].get(name, 0.0) for r in traced)
         for name in names
     }
-    untraced_primary = min(r["primary"] for r in plain)
-    traced_primary = min(r["primary"] for r in traced)
+    untraced_primary = statistics.median(r["primary"] for r in plain)
+    traced_primary = statistics.median(r["primary"] for r in traced)
     values["trace.overhead_pct"] = 100.0 * (traced_primary / untraced_primary - 1.0)
     return values
 

@@ -1,4 +1,4 @@
-"""The benchmark's four workloads, one repetition each.
+"""The benchmark's two workloads, one repetition each.
 
 Every workload is a job with three phases, run in one fresh process by
 ``rep.py``:
@@ -13,8 +13,8 @@ Every workload is a job with three phases, run in one fresh process by
   cross-checks against the event-driven simulator, which take seconds, so
   a run makes them in its first repetition only.
 
-An operation is what a user of the workload asks for: one whole paper
-reproduction pass, one design point, one served request.
+An operation is what a user of the workload asks for: one design point or
+one served request.
 """
 
 from __future__ import annotations
@@ -28,21 +28,13 @@ import numpy as np
 
 from layers import LayerTracer, TracedClassifier, percentile
 
-#: Operands per Table I measurement and per Figure 3 supply point.
-PAPER_OPERANDS = 64
-#: Operands of the latency distribution (16 chunks at the default chunking).
-DISTRIBUTION_OPERANDS = 1024
-#: Operand prefix cross-checked against the event-driven simulator.
-EVENT_PREFIX = 8
 #: Documented agreement of the vectorized timing engine with the event oracle.
 RTOL = 1e-9
 
 #: Serving: operands in the request pool (request k sends operand k % 256).
 SERVE_OPERANDS = 256
-SERVE_CLIENTS = 64
-SERVE_CLOSED_REQUESTS = 32768
-SERVE_OPEN_RATE = 3000.0
-SERVE_OPEN_REQUESTS = 6000
+SERVE_RATE = 3000.0
+SERVE_REQUESTS = 6000
 WARMUP_REQUESTS = 1024
 #: Admission queue: a host stall of ~0.3 s at the open-loop rate must not
 #: turn into rejected requests (the default 256 holds ~85 ms of arrivals).
@@ -51,66 +43,6 @@ QUEUE_DEPTH = 1024
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=RTOL, abs_tol=0.0)
-
-
-class PaperJob:
-    """Table I, Figure 3 and a latency distribution, all timed by ``bitpack``."""
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-        self.op_latencies_ms: List[float] = []
-
-    def setup(self) -> None:
-        from repro.analysis import default_workload, resolve_library, truncate_workload
-
-        self.workload = default_workload(num_operands=DISTRIBUTION_OPERANDS, seed=self.seed)
-        self.operands = truncate_workload(self.workload, PAPER_OPERANDS)
-        self.umc = resolve_library(None, "UMC LL")
-
-    def measure(self) -> None:
-        from repro.analysis import run_figure3, run_latency_distribution, run_table1
-
-        start = time.perf_counter()
-        self.rows, self.raw = run_table1(self.operands, timing_backend="bitpack")
-        self.points = run_figure3(self.operands, timing_backend="bitpack")
-        self.distribution = run_latency_distribution(
-            self.workload, self.umc, timing_backend="bitpack"
-        )
-        self.op_latencies_ms.append((time.perf_counter() - start) * 1e3)
-
-    def check(self, full: bool) -> Tuple[int, int, List[str]]:
-        from repro.analysis import measure_dual_rail, truncate_workload
-
-        problems = []
-        attempted = 0
-        for row in self.rows:
-            attempted += 1
-            if row.extra["correctness"] != 1.0:
-                problems.append(f"Table I {row.technology}/{row.design}: "
-                                f"correctness {row.extra['correctness']}")
-        for point in self.points:
-            attempted += 1
-            if not (point.functional and point.correct):
-                problems.append(f"Figure 3 at {point.vdd} V is not correct")
-        attempted += 1
-        if len(self.distribution) != DISTRIBUTION_OPERANDS:
-            problems.append(f"distribution has {len(self.distribution)} operands")
-        if not full:
-            return attempted, len(problems), problems
-        event = measure_dual_rail(
-            truncate_workload(self.workload, EVENT_PREFIX), self.umc, timing_backend="event"
-        )
-        table = self.raw["UMC LL/dual-rail"].latencies_ps
-        spread = [r.t_s_to_v for r in self.distribution]
-        for k, reference in enumerate(event.latencies_ps):
-            for name, timed in (("Table I", table[k]), ("distribution", spread[k])):
-                attempted += 1
-                if not _close(timed, reference):
-                    problems.append(f"{name} operand {k}: {timed} ps, event {reference} ps")
-        return attempted, len(problems), problems
-
-    def close(self) -> None:
-        pass
 
 
 class DseJob:
@@ -185,17 +117,16 @@ class DseJob:
 
 
 class ServeJob:
-    """The in-process bitpack gateway, driven closed-loop or open-loop.
+    """The in-process bitpack gateway under open-loop Poisson arrivals.
 
-    The job drives ``gateway.submit`` itself in the shapes of
-    ``repro.serve.loadgen`` so that it knows each request's send and reply
-    times.  Open-loop requests are timed from their scheduled send, so a
+    The job drives ``gateway.submit`` itself in the shape of
+    ``repro.serve.loadgen``'s open loop so that it knows each request's send
+    and reply times.  Requests are timed from their scheduled send, so a
     stall is charged to every request it delays.
     """
 
-    def __init__(self, seed: int, mode: str, tracer: Optional[LayerTracer]) -> None:
+    def __init__(self, seed: int, tracer: Optional[LayerTracer]) -> None:
         self.seed = seed
-        self.mode = mode
         self.tracer = tracer
         self.op_latencies_ms: List[float] = []
         self.loop = asyncio.new_event_loop()
@@ -231,13 +162,12 @@ class ServeJob:
         self.rejected = 0
         self.errors: List[str] = []
 
-    async def _send(self, index: int, scheduled: Optional[float] = None) -> None:
+    async def _send(self, index: int, scheduled: float) -> None:
         from repro.serve import GatewayOverloaded
 
         operands = self.workload.feature_vectors
-        sent = time.perf_counter()
-        self.sent[index] = sent
-        self.scheduled[index] = sent if scheduled is None else scheduled
+        self.sent[index] = time.perf_counter()
+        self.scheduled[index] = scheduled
         # submit enqueues before its first await, so this is queue order.
         self.queued.append(index)
         try:
@@ -254,16 +184,7 @@ class ServeJob:
 
     async def _drive(self, requests: int, seed: int) -> None:
         self._reset()
-        if self.mode == "closed":
-            counter = iter(range(requests))
-
-            async def client() -> None:
-                for index in counter:
-                    await self._send(index)
-
-            await asyncio.gather(*(client() for _ in range(SERVE_CLIENTS)))
-            return
-        gaps = np.random.default_rng(seed).exponential(1.0 / SERVE_OPEN_RATE, requests)
+        gaps = np.random.default_rng(seed).exponential(1.0 / SERVE_RATE, requests)
         tasks = []
         due = time.perf_counter()
         for index in range(requests):
@@ -276,12 +197,11 @@ class ServeJob:
 
     # ------------------------------------------------------------ measure
     def measure(self) -> None:
-        requests = SERVE_CLOSED_REQUESTS if self.mode == "closed" else SERVE_OPEN_REQUESTS
         before = self.gateway.stats.snapshot()
         if self.tracer is not None:
             self.classifier.words.clear()
             self.classifier.recording = True
-        self.loop.run_until_complete(self._drive(requests, self.seed))
+        self.loop.run_until_complete(self._drive(SERVE_REQUESTS, self.seed))
         if self.tracer is not None:
             self.classifier.recording = False
         self.window = self.gateway.stats.delta(before)
@@ -328,25 +248,26 @@ class ServeJob:
 
     # -------------------------------------------------------------- check
     def check(self, full: bool) -> Tuple[int, int, List[str]]:
-        from repro.analysis import batch_functional_pass, resolve_library
-        from repro.datapath.datapath import DualRailDatapath
-
-        datapath = DualRailDatapath(self.workload.config)
-        golden = batch_functional_pass(
-            datapath, datapath.circuit, self.workload, resolve_library(None),
-            with_activity=False, backend="bitpack",
-        )
-        pool = len(golden.verdicts)
+        # The reference is the software model's vote count, which shares no
+        # code with the netlist, the compiled program or the bitpack kernel
+        # the gateway serves from.
+        model = self.workload.model
+        golden = []
+        for operand in self.workload.feature_vectors:
+            positive, negative = model.vote_counts(operand)
+            verdict = ("greater" if positive > negative
+                       else "equal" if positive == negative else "less")
+            golden.append((verdict, model.decision(operand)))
+        pool = len(golden)
         problems = list(self.errors)
         if self.rejected:
             problems.append(f"{self.rejected} requests rejected")
         mismatched = [
             k for k, result in self.results.items()
-            if (result.verdict, result.decision)
-            != (golden.verdicts[k % pool], golden.decisions[k % pool])
+            if (result.verdict, result.decision) != golden[k % pool]
         ]
         if mismatched:
-            problems.append(f"{len(mismatched)} replies differ from batch_functional_pass, "
+            problems.append(f"{len(mismatched)} replies differ from the model's votes, "
                             f"first request {min(mismatched)}")
         failed = self.rejected + len(self.errors) + len(mismatched)
         return len(self.sent), failed, problems
@@ -359,15 +280,11 @@ class ServeJob:
 
 def make_job(name: str, seed: int, tracer: Optional[LayerTracer]):
     """The job for workload *name*."""
-    if name == "paper":
-        return PaperJob(seed)
     if name == "dse-smoke":
         return DseJob(seed)
-    if name == "serve-closed":
-        return ServeJob(seed, "closed", tracer)
     if name == "serve-open":
-        return ServeJob(seed, "open", tracer)
+        return ServeJob(seed, tracer)
     raise ValueError(f"unknown workload {name!r}")
 
 
-WORKLOADS = ("paper", "dse-smoke", "serve-closed", "serve-open")
+WORKLOADS = ("dse-smoke", "serve-open")

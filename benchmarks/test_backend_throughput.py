@@ -14,10 +14,10 @@ in ``BENCH_sim.json``:
 * ``bitpack_backend_samples_per_sec`` / ``bitpack_vs_batch_speedup`` — the
   bit-packed 64-lane engine vs the batch engine on the same 10k-sample
   stream, asserted to be >= 5x (in practice ~10x);
-* ``fused_bitpack_samples_per_sec`` / ``fused_vs_looped_speedup`` — the
-  fused grouped-kernel engine vs the looped per-cell bitpack interpreter
-  on the same compiled program (run-only, spacer activity baseline),
-  asserted to be >= 3x at 10k samples (in practice ~4x);
+* ``fused_bitpack_samples_per_sec`` — the bitpack backend's grouped
+  kernel engine alone (run-only after a warm-up, spacer activity
+  baseline) at 10k samples, checked value for value and transition for
+  transition against the looped batch reference;
 * ``timed_backend_samples_per_sec`` / ``timed_vs_event_speedup`` — the
   vectorized data-dependent timing engine (full handshake cycles: latency,
   reset and energy per sample) vs per-operand event-driven handshakes on a
@@ -184,13 +184,14 @@ def test_bitpack_backend_speedup(benchmark, umc, bench_records):
 
 
 def test_fused_bitpack_speedup(benchmark, umc, bench_records):
-    """Fused grouped-kernel engine vs the looped per-cell bitpack interpreter.
+    """Run-only throughput of the bitpack backend's grouped kernel engine.
 
-    Both backends execute the *same* compiled program on the same 10k-sample
-    stream with the spacer activity baseline, so the comparison isolates the
-    kernel engine (grouped gather/scatter vs per-cell Python loop), not the
-    compile step: each engine is warmed once (plan build / codegen happens
-    there) and then timed run-only, best-of-three.
+    The backend executes one compiled program on a 10k-sample stream with
+    the spacer activity baseline.  It is warmed once (plan build, settled
+    baseline memo) and then timed run-only, best-of-five, so the figure
+    isolates the kernel engine from the compile step.  The same stream
+    through the looped batch reference pins bit-identity of the benchmark
+    configuration itself.
     """
     workload = random_workload(
         num_features=4, clauses_per_polarity=8, num_operands=BITPACK_SAMPLES, seed=5
@@ -200,60 +201,37 @@ def test_fused_bitpack_speedup(benchmark, umc, bench_records):
     planes = workload_input_planes(datapath.circuit, datapath, workload)
     spacer = spacer_assignments(datapath.circuit)
 
-    looped = BitpackBackend(netlist, umc, fused="off")
-    fused = BitpackBackend(netlist, umc, fused="grouped")
-
-    def run_looped():
-        return looped.run_arrays(planes, baseline=spacer)
+    fused = BitpackBackend(netlist, umc)
 
     def run_fused():
         return fused.run_arrays(planes, baseline=spacer)
 
-    looped_result = run_looped()  # warm-up: bound ops, settled-baseline memo
     fused_result = run_fused()  # warm-up: grouped plan build, rest memo
-
-    # Interleaved best-of-five: alternating the two engines inside each
-    # round means a load spike on a noisy runner penalizes both rather
-    # than biasing whichever engine it landed on.
-    looped_elapsed = fused_elapsed = float("inf")
+    fused_elapsed = float("inf")
     for _ in range(5):
-        start = time.perf_counter()
-        looped_result = run_looped()
-        looped_elapsed = min(looped_elapsed, time.perf_counter() - start)
         start = time.perf_counter()
         fused_result = run_fused()
         fused_elapsed = min(fused_elapsed, time.perf_counter() - start)
     # One more pass through pytest-benchmark for the benchmark report.
     benchmark.pedantic(run_fused, rounds=1, iterations=1)
 
-    looped_rate = looped_result.samples / looped_elapsed
     fused_rate = fused_result.samples / fused_elapsed
-    speedup = fused_rate / looped_rate
     print(
-        f"\nFused kernel throughput: looped={looped_rate:,.0f} samples/s, "
-        f"fused={fused_rate:,.0f} samples/s "
-        f"({fused_result.samples} samples) -> {speedup:.1f}x"
+        f"\nGrouped bitpack kernel throughput: {fused_rate:,.0f} samples/s "
+        f"({fused_result.samples} samples)"
     )
     bench_records["fused_bitpack_samples_per_sec"] = fused_rate
-    bench_records["fused_vs_looped_speedup"] = speedup
 
     assert fused_result.samples == BITPACK_SAMPLES
-    # Acceptance criterion: the fused engine delivers >= 3x the looped
-    # bitpack samples/sec at 10k samples.  Real measurements sit around
-    # 3.8-4.5x; the assertion is scoped to the acceptance budget so a
-    # shrunken BENCH_BITPACK_SAMPLES smoke run still records the metrics
-    # without a spurious red.
-    if BITPACK_SAMPLES >= 10000:
-        assert speedup >= 3.0
-
-    # Bit-identity alongside the speed claim: same verdict planes and the
-    # same switching-activity accounting (the fuzz suite covers the full
-    # net set; this pins the benchmark configuration itself).
+    # Bit-identity alongside the speed figure: same verdict planes and the
+    # same switching-activity accounting as the looped reference (the fuzz
+    # suite covers the full net set).
+    reference = BatchBackend(netlist, umc).run_arrays(planes, baseline=spacer)
     verdict = datapath.circuit.one_of_n_outputs[0]
     for rail in verdict.rails:
-        assert np.array_equal(fused_result.values[rail], looped_result.values[rail])
-    assert fused_result.activity_by_cell == looped_result.activity_by_cell
-    assert fused_result.activity_by_cell_type == looped_result.activity_by_cell_type
+        assert np.array_equal(fused_result.values[rail], reference.values[rail])
+    assert fused_result.activity_by_cell == reference.activity_by_cell
+    assert fused_result.activity_by_cell_type == reference.activity_by_cell_type
 
 
 def test_timed_backend_speedup(benchmark, umc, bench_records):

@@ -11,7 +11,13 @@ describing
 * whether it is logically *inverting* (negative gate), which is what flips
   the spacer polarity of a dual-rail signal path, and
 * whether it is *state holding* (the Muller C-element used as the dual-rail
-  latch, and the D flip-flop used by the synchronous baseline).
+  latch, and the D flip-flop used by the synchronous baseline), and
+* its *dispatch shape*: a tag naming the Boolean function family
+  (``"and"``, ``"aoi"``, ``"c"``, ...) plus, for the complex gates, the
+  per-leg pin widths.  The vectorized simulation engines
+  (:func:`repro.sim.backends.base.classify_cell_type`) and the Verilog
+  primitive emitter (:mod:`repro.hdl.primitives`) both read the shape from
+  here instead of parsing cell-type names.
 
 Three-valued evaluation is pessimistic but exact for controlling values: an
 AND gate with one input at ``0`` outputs ``0`` even if the other input is
@@ -74,6 +80,17 @@ def _maj3(values: Sequence[LogicValue]) -> LogicValue:
     return None
 
 
+#: Complex-gate shapes by dispatch tag: ``(inner op is AND, output
+#: inverted)``.  AOI is NOT(OR of ANDs), OAI is NOT(AND of ORs); AO and OA
+#: are their non-inverting twins.
+COMPLEX_GATE_SHAPES: Dict[str, Tuple[bool, bool]] = {
+    "aoi": (True, True),
+    "oai": (False, True),
+    "ao": (True, False),
+    "oa": (False, False),
+}
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """Static description of a library cell's behaviour.
@@ -98,6 +115,15 @@ class GateSpec:
         :data:`LogicValue`, *state* is the previous output value for
         sequential cells (``None`` otherwise), and the result maps output pin
         name to :data:`LogicValue`.
+    tag:
+        Dispatch tag of the cell's function family: ``"inv" | "buf" |
+        "and" | "nand" | "or" | "nor" | "xor" | "xnor" | "maj3" | "c" |
+        "aoi" | "oai" | "ao" | "oa"``; ``None`` for cells outside that
+        vocabulary (TIE constants, the D flip-flop).
+    pin_groups:
+        Width of each leg of a complex gate, in pin order (AOI21 has
+        ``(2, 1)``: legs ``A1, A2`` and ``B``); ``None`` for every other
+        tag.
     """
 
     name: str
@@ -107,13 +133,16 @@ class GateSpec:
     inverting: bool
     sequential: bool
     evaluate: Callable[[Dict[str, LogicValue], LogicValue], Dict[str, LogicValue]]
+    tag: Optional[str] = None
+    pin_groups: Optional[Tuple[int, ...]] = None
 
     @property
     def num_inputs(self) -> int:
         return len(self.input_pins)
 
 
-def _simple(name: str, pins: Sequence[str], func, unate: bool, inverting: bool) -> GateSpec:
+def _simple(name: str, pins: Sequence[str], func, unate: bool, inverting: bool,
+            tag: str, pin_groups: Optional[Tuple[int, ...]] = None) -> GateSpec:
     """Build a combinational single-output :class:`GateSpec` from *func*."""
 
     pins = tuple(pins)
@@ -130,6 +159,8 @@ def _simple(name: str, pins: Sequence[str], func, unate: bool, inverting: bool) 
         inverting=inverting,
         sequential=False,
         evaluate=evaluate,
+        tag=tag,
+        pin_groups=pin_groups,
     )
 
 
@@ -138,27 +169,34 @@ def _input_names(n: int) -> List[str]:
 
 
 def _make_and(n: int) -> GateSpec:
-    return _simple(f"AND{n}", _input_names(n), _and, unate=True, inverting=False)
+    return _simple(f"AND{n}", _input_names(n), _and, unate=True, inverting=False, tag="and")
 
 
 def _make_or(n: int) -> GateSpec:
-    return _simple(f"OR{n}", _input_names(n), _or, unate=True, inverting=False)
+    return _simple(f"OR{n}", _input_names(n), _or, unate=True, inverting=False, tag="or")
 
 
 def _make_nand(n: int) -> GateSpec:
-    return _simple(f"NAND{n}", _input_names(n), lambda v: _not(_and(v)), unate=True, inverting=True)
+    return _simple(f"NAND{n}", _input_names(n), lambda v: _not(_and(v)), unate=True,
+                   inverting=True, tag="nand")
 
 
 def _make_nor(n: int) -> GateSpec:
-    return _simple(f"NOR{n}", _input_names(n), lambda v: _not(_or(v)), unate=True, inverting=True)
+    return _simple(f"NOR{n}", _input_names(n), lambda v: _not(_or(v)), unate=True,
+                   inverting=True, tag="nor")
 
 
-def _make_aoi(groups: Sequence[int]) -> GateSpec:
-    """AND-OR-INVERT cell, e.g. AOI22: Y = NOT((A1&A2) | (B1&B2)).
+def _make_complex(tag: str, groups: Sequence[int]) -> GateSpec:
+    """An AOI/OAI/AO/OA cell, e.g. ``("aoi", (2, 2))`` is AOI22.
 
-    ``groups`` lists the width of each AND leg; a width of 1 is a direct OR
-    input (AOI21 has groups ``(2, 1)``).
+    ``groups`` lists the width of each leg; a width of 1 is a direct input
+    of the outer operator (AOI21 has groups ``(2, 1)``:
+    Y = NOT((A1&A2) | B)).  The non-inverting AO/OA cells are what the
+    paper's dual-rail half-adder sum rails map onto (two complex gates per
+    half-adder, no spacer inversion).
     """
+    inner_and, inverting = COMPLEX_GATE_SHAPES[tag]
+    inner, outer = (_and, _or) if inner_and else (_or, _and)
     pins: List[str] = []
     for gi, width in enumerate(groups):
         letter = chr(ord("A") + gi)
@@ -166,87 +204,19 @@ def _make_aoi(groups: Sequence[int]) -> GateSpec:
             pins.append(letter)
         else:
             pins.extend(f"{letter}{k + 1}" for k in range(width))
-    name = "AOI" + "".join(str(w) for w in groups)
+    name = tag.upper() + "".join(str(w) for w in groups)
 
     def func(values: Sequence[LogicValue]) -> LogicValue:
         terms: List[LogicValue] = []
         idx = 0
         for width in groups:
-            terms.append(_and(values[idx: idx + width]))
+            terms.append(inner(values[idx: idx + width]))
             idx += width
-        return _not(_or(terms))
+        out = outer(terms)
+        return _not(out) if inverting else out
 
-    return _simple(name, pins, func, unate=True, inverting=True)
-
-
-def _make_ao(groups: Sequence[int]) -> GateSpec:
-    """Non-inverting AND-OR cell, e.g. AO22: Y = (A1&A2) | (B1&B2).
-
-    These complex cells are what the paper's dual-rail half-adder sum rails
-    map onto (two complex gates per half-adder, no spacer inversion).
-    """
-    pins: List[str] = []
-    for gi, width in enumerate(groups):
-        letter = chr(ord("A") + gi)
-        if width == 1:
-            pins.append(letter)
-        else:
-            pins.extend(f"{letter}{k + 1}" for k in range(width))
-    name = "AO" + "".join(str(w) for w in groups)
-
-    def func(values: Sequence[LogicValue]) -> LogicValue:
-        terms: List[LogicValue] = []
-        idx = 0
-        for width in groups:
-            terms.append(_and(values[idx: idx + width]))
-            idx += width
-        return _or(terms)
-
-    return _simple(name, pins, func, unate=True, inverting=False)
-
-
-def _make_oa(groups: Sequence[int]) -> GateSpec:
-    """Non-inverting OR-AND cell, e.g. OA22: Y = (A1|A2) & (B1|B2)."""
-    pins: List[str] = []
-    for gi, width in enumerate(groups):
-        letter = chr(ord("A") + gi)
-        if width == 1:
-            pins.append(letter)
-        else:
-            pins.extend(f"{letter}{k + 1}" for k in range(width))
-    name = "OA" + "".join(str(w) for w in groups)
-
-    def func(values: Sequence[LogicValue]) -> LogicValue:
-        terms: List[LogicValue] = []
-        idx = 0
-        for width in groups:
-            terms.append(_or(values[idx: idx + width]))
-            idx += width
-        return _and(terms)
-
-    return _simple(name, pins, func, unate=True, inverting=False)
-
-
-def _make_oai(groups: Sequence[int]) -> GateSpec:
-    """OR-AND-INVERT cell, e.g. OAI22: Y = NOT((A1|A2) & (B1|B2))."""
-    pins: List[str] = []
-    for gi, width in enumerate(groups):
-        letter = chr(ord("A") + gi)
-        if width == 1:
-            pins.append(letter)
-        else:
-            pins.extend(f"{letter}{k + 1}" for k in range(width))
-    name = "OAI" + "".join(str(w) for w in groups)
-
-    def func(values: Sequence[LogicValue]) -> LogicValue:
-        terms: List[LogicValue] = []
-        idx = 0
-        for width in groups:
-            terms.append(_or(values[idx: idx + width]))
-            idx += width
-        return _not(_and(terms))
-
-    return _simple(name, pins, func, unate=True, inverting=True)
+    return _simple(name, pins, func, unate=True, inverting=inverting, tag=tag,
+                   pin_groups=tuple(groups))
 
 
 def _make_c_element(n: int) -> GateSpec:
@@ -275,6 +245,7 @@ def _make_c_element(n: int) -> GateSpec:
         inverting=False,
         sequential=True,
         evaluate=evaluate,
+        tag="c",
     )
 
 
@@ -317,8 +288,8 @@ def _make_tie(value: int) -> GateSpec:
 
 def _build_registry() -> Dict[str, GateSpec]:
     specs: List[GateSpec] = [
-        _simple("INV", ["A"], lambda v: _not(v[0]), unate=True, inverting=True),
-        _simple("BUF", ["A"], lambda v: v[0], unate=True, inverting=False),
+        _simple("INV", ["A"], lambda v: _not(v[0]), unate=True, inverting=True, tag="inv"),
+        _simple("BUF", ["A"], lambda v: v[0], unate=True, inverting=False, tag="buf"),
         _make_tie(0),
         _make_tie(1),
         _make_dff(),
@@ -329,21 +300,21 @@ def _build_registry() -> Dict[str, GateSpec]:
     for n in (2, 3, 4):
         specs.append(_make_nand(n))
         specs.append(_make_nor(n))
-    specs.append(_make_aoi((2, 1)))
-    specs.append(_make_aoi((2, 2)))
-    specs.append(_make_aoi((3, 2)))
-    specs.append(_make_oai((2, 1)))
-    specs.append(_make_oai((2, 2)))
-    specs.append(_make_oai((3, 2)))
-    specs.append(_make_ao((2, 1)))
-    specs.append(_make_ao((2, 2)))
-    specs.append(_make_oa((2, 1)))
-    specs.append(_make_oa((2, 2)))
-    specs.append(_simple("MAJ3", _input_names(3), _maj3, unate=True, inverting=False))
+    for tag, groups in (
+        ("aoi", (2, 1)), ("aoi", (2, 2)), ("aoi", (3, 2)),
+        ("oai", (2, 1)), ("oai", (2, 2)), ("oai", (3, 2)),
+        ("ao", (2, 1)), ("ao", (2, 2)),
+        ("oa", (2, 1)), ("oa", (2, 2)),
+    ):
+        specs.append(_make_complex(tag, groups))
+    specs.append(_simple("MAJ3", _input_names(3), _maj3, unate=True, inverting=False,
+                         tag="maj3"))
     # Non-unate cells: permitted only in the single-rail baseline library
     # (paper Section III excludes them from the dual-rail netlist).
-    specs.append(_simple("XOR2", _input_names(2), _xor, unate=False, inverting=False))
-    specs.append(_simple("XNOR2", _input_names(2), lambda v: _not(_xor(v)), unate=False, inverting=True))
+    specs.append(_simple("XOR2", _input_names(2), _xor, unate=False, inverting=False,
+                         tag="xor"))
+    specs.append(_simple("XNOR2", _input_names(2), lambda v: _not(_xor(v)), unate=False,
+                         inverting=True, tag="xnor"))
     for n in (2, 3):
         specs.append(_make_c_element(n))
     return {spec.name: spec for spec in specs}

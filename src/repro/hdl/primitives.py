@@ -9,8 +9,8 @@ pin-compatible with — and semantically derived from — the same specs the
 Python simulators use:
 
 * combinational cells become a single ``assign`` of the obvious Boolean
-  expression (AND/OR/complex-gate structure recovered from the cell-type
-  name, exactly like the batch backend's vectorizer does);
+  expression, built from the spec's dispatch tag and complex-gate pin
+  groups — the same fields the vectorized simulation engines dispatch on;
 * Muller C-elements become a level-sensitive hold process (drive only when
   all inputs agree — the standard behavioral C-element idiom);
 * the D flip-flop becomes a positive-edge process;
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.circuits.gates import GATE_REGISTRY, gate_spec
+from repro.circuits.gates import COMPLEX_GATE_SHAPES, GATE_REGISTRY, GateSpec, gate_spec
 from repro.circuits.netlist import Netlist
 
 __all__ = [
@@ -35,67 +35,47 @@ __all__ = [
 ]
 
 
-def _group_pins(cell_type: str, prefix: str) -> List[List[str]]:
-    """Recover the pin groups of a complex gate (e.g. AOI32 → [[A1,A2,A3],[B1,B2]])."""
-    widths = [int(d) for d in cell_type[len(prefix):]]
-    spec = gate_spec(cell_type)
-    groups: List[List[str]] = []
-    idx = 0
-    for width in widths:
-        groups.append(list(spec.input_pins[idx: idx + width]))
-        idx += width
-    return groups
-
-
 def _join(op: str, terms: Sequence[str]) -> str:
     return f" {op} ".join(terms)
 
 
-def _complex_expr(cell_type: str, prefix: str, inner: str, outer: str, invert: bool) -> str:
-    """Boolean expression of an AO/OA/AOI/OAI cell from its name."""
-    groups = _group_pins(cell_type, prefix)
-    terms = [pins[0] if len(pins) == 1 else f"({_join(inner, pins)})" for pins in groups]
-    expr = _join(outer, terms)
-    return f"~({expr})" if invert else expr
+#: Pin-joining operator and output inversion of the single-level tags.
+_JOIN_OPS = {
+    "and": ("&", False), "nand": ("&", True),
+    "or": ("|", False), "nor": ("|", True),
+    "xor": ("^", False), "xnor": ("^", True),
+}
 
 
-def _combinational_expr(cell_type: str) -> Optional[str]:
+def _combinational_expr(spec: GateSpec) -> Optional[str]:
     """The right-hand side of ``assign Y = ...`` for a combinational cell."""
-    spec = gate_spec(cell_type)
     pins = list(spec.input_pins)
-    if cell_type == "INV":
+    tag = spec.tag
+    if not pins:  # TIE0 / TIE1: the constant the cell drives
+        return f"1'b{spec.evaluate({}, None)[spec.output_pins[0]]}"
+    if tag == "inv":
         return f"~{pins[0]}"
-    if cell_type == "BUF":
+    if tag == "buf":
         return pins[0]
-    if cell_type == "TIE0":
-        return "1'b0"
-    if cell_type == "TIE1":
-        return "1'b1"
-    if cell_type == "XOR2":
-        return _join("^", pins)
-    if cell_type == "XNOR2":
-        return f"~({_join('^', pins)})"
-    if cell_type == "MAJ3":
+    if tag == "maj3":
         a, b, c = pins
         return f"({a} & {b}) | ({a} & {c}) | ({b} & {c})"
-    for prefix, inner, outer, invert in (
-        ("NAND", "&", "&", True),
-        ("NOR", "|", "|", True),
-        ("AND", "&", "&", False),
-        ("OR", "|", "|", False),
-    ):
-        if cell_type.startswith(prefix) and cell_type[len(prefix):].isdigit():
-            expr = _join(inner, pins)
-            return f"~({expr})" if invert else expr
-    for prefix, inner, outer, invert in (
-        ("AOI", "&", "|", True),
-        ("OAI", "|", "&", True),
-        ("AO", "&", "|", False),
-        ("OA", "|", "&", False),
-    ):
-        if cell_type.startswith(prefix) and cell_type[len(prefix):].isdigit():
-            return _complex_expr(cell_type, prefix, inner, outer, invert)
-    return None
+    if tag in _JOIN_OPS:
+        op, invert = _JOIN_OPS[tag]
+        expr = _join(op, pins)
+    elif tag in COMPLEX_GATE_SHAPES:
+        inner_and, invert = COMPLEX_GATE_SHAPES[tag]
+        inner, outer = ("&", "|") if inner_and else ("|", "&")
+        terms: List[str] = []
+        idx = 0
+        for width in spec.pin_groups:
+            leg = pins[idx: idx + width]
+            terms.append(leg[0] if width == 1 else f"({_join(inner, leg)})")
+            idx += width
+        expr = _join(outer, terms)
+    else:
+        return None
+    return f"~({expr})" if invert else expr
 
 
 def primitive_module(cell_type: str) -> str:
@@ -111,14 +91,14 @@ def primitive_module(cell_type: str) -> str:
     """
     spec = gate_spec(cell_type)
     out = spec.output_pins[0]
-    if spec.sequential and cell_type == "DFF":
+    if spec.sequential and spec.tag is None:  # the D flip-flop
         return (
             f"module {cell_type} (input D, input CK, output reg {out});\n"
             f"  initial {out} = 1'bx;\n"
             f"  always @(posedge CK) {out} <= D;\n"
             f"endmodule\n"
         )
-    if spec.sequential and cell_type.startswith("C"):
+    if spec.tag == "c":
         pins = list(spec.input_pins)
         ports = ", ".join(f"input {p}" for p in pins)
         all_high = _join("&", pins)
@@ -133,7 +113,7 @@ def primitive_module(cell_type: str) -> str:
             f"  end\n"
             f"endmodule\n"
         )
-    expr = _combinational_expr(cell_type)
+    expr = _combinational_expr(spec)
     if expr is None:
         raise ValueError(f"no behavioral Verilog model for cell type {cell_type!r}")
     ports = ", ".join(f"input {p}" for p in spec.input_pins)

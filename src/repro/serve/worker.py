@@ -96,11 +96,6 @@ class ModelSpec:
         :class:`~repro.sim.program_cache.ProgramCache`; when *program* is
         unset, workers load the compiled program from here (compiling and
         storing it only on a cold cache).
-    fused:
-        Fused-kernel tier of the vectorized engine
-        (``"off"``/``"grouped"``/``"codegen"``); ``None`` defers to the
-        ``REPRO_FUSED_KERNELS`` environment variable — see
-        :mod:`repro.sim.kernels`.
     """
 
     config: DatapathConfig
@@ -111,7 +106,6 @@ class ModelSpec:
     attribution: bool = False
     program: Optional[CompiledProgram] = None
     program_cache: Optional[str] = None
-    fused: Optional[str] = None
 
     @classmethod
     def from_workload(
@@ -123,7 +117,6 @@ class ModelSpec:
         attribution: bool = False,
         program: Optional[CompiledProgram] = None,
         program_cache: Optional[str] = None,
-        fused: Optional[str] = None,
     ) -> "ModelSpec":
         """Spec for serving *workload*'s trained clause configuration."""
         return cls(
@@ -135,7 +128,6 @@ class ModelSpec:
             attribution=attribution,
             program=program,
             program_cache=program_cache,
-            fused=fused,
         )
 
 
@@ -211,9 +203,7 @@ class InferenceWorker:
                     f"(program netlist hash {spec.program.netlist_hash[:12]}…, "
                     f"spec builds {expected[:12]}…)"
                 )
-            engine = get_backend(
-                spec.backend, program=spec.program, fused=spec.fused
-            )
+            engine = get_backend(spec.backend, program=spec.program)
         else:
             engine = get_backend(
                 spec.backend,
@@ -221,7 +211,6 @@ class InferenceWorker:
                 library,
                 vdd=spec.vdd,
                 cache=spec.program_cache,
-                fused=spec.fused,
             )
         # Bind every non-feature input rail as a session constant: the
         # exclude configuration never changes between requests, so its

@@ -20,11 +20,9 @@ Contents:
   executes (``compile_program(netlist, library)`` →
   ``get_backend(name, program=...)``), and its content-hash-addressed
   on-disk cache shared across worker processes;
-* :mod:`repro.sim.kernels` — the fused grouped-kernel execution engine
-  the vectorized backends run on by default: per-level gather/scatter
-  groups (one vectorized call per cell shape per level) plus an optional
-  generated-and-``exec``'d NumPy kernel tier cached alongside the
-  program artifact.
+* :mod:`repro.sim.kernels` — the grouped-kernel execution engine of the
+  bitpack backend: per-level gather/scatter groups, one vectorized call
+  per cell shape per level.
 """
 
 from .backends import (
@@ -40,15 +38,7 @@ from .backends import (
     available_backends,
     get_backend,
 )
-from .kernels import (
-    FUSED_ENV_VAR,
-    FUSED_MODES,
-    FusedKernel,
-    GroupedPlan,
-    build_grouped_plan,
-    generate_kernel_source,
-    resolve_fused_mode,
-)
+from .kernels import FusedKernel, GroupedPlan, build_grouped_plan
 from .program import (
     PROGRAM_COMPILER_VERSION,
     CompiledProgram,
@@ -112,8 +102,6 @@ __all__ = [
     "EventBackend",
     "EventQueue",
     "FIGURE3_VOLTAGES",
-    "FUSED_ENV_VAR",
-    "FUSED_MODES",
     "ForbiddenStateMonitor",
     "FusedKernel",
     "GateLevelSimulator",
@@ -142,9 +130,7 @@ __all__ = [
     "cell_output_delay",
     "delay_scaling_curve",
     "exponential_region_slope",
-    "generate_kernel_source",
     "get_backend",
-    "resolve_fused_mode",
     "latency_ratio",
     "output_load",
     "register_to_register_period",

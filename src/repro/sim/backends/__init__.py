@@ -7,10 +7,12 @@ to use which backend.  Summary:
   reference (latency, grace periods, waveforms, glitch-accurate power);
 * ``get_backend("batch", netlist, library)`` — levelized NumPy engine for
   whole batches of input vectors (functional sweeps, correctness checks,
-  cycle-level switching activity) at orders-of-magnitude higher throughput;
+  cycle-level switching activity) at orders-of-magnitude higher
+  throughput; the one-cell-at-a-time reference interpreter;
 * ``get_backend("bitpack", netlist, library)`` — the bit-packed 64-lane
   engine: 64 samples per ``uint64`` word, two bit-planes per net, every
-  gate a handful of bitwise word ops.  The fastest functional backend.
+  same-shaped cell of a level one grouped bitwise op.  The fastest
+  functional backend, bit-identical to ``"batch"``.
 
 The vectorized backends additionally expose ``run_timed`` — the
 data-dependent timing engine (:mod:`repro.sim.backends.timed`): per-sample
@@ -27,7 +29,6 @@ from .base import (
     available_backends,
     bind_cell_ops,
     classify_cell_type,
-    compile_levelized_ops,
     get_backend,
     register_backend,
 )
@@ -53,7 +54,6 @@ __all__ = [
     "TimedBatchResult",
     "TimedProgram",
     "available_backends",
-    "compile_levelized_ops",
     "get_backend",
     "register_backend",
 ]

@@ -13,17 +13,19 @@ side.  Three implementations ship with the repo:
 
 ``"batch"``
     :class:`~repro.sim.backends.batch.BatchBackend` — levelizes the netlist
-    once and evaluates each cell as a vectorized NumPy operation over the
-    whole sample batch.  Use it whenever only the *functional* outputs and
-    cycle-level transition counts are needed (correctness sweeps, energy
-    estimation, workload statistics); it is orders of magnitude faster.
+    once and evaluates each cell, one at a time, as a vectorized NumPy
+    operation over the whole sample batch.  Use it whenever only the
+    *functional* outputs and cycle-level transition counts are needed
+    (correctness sweeps, energy estimation, workload statistics); it is
+    orders of magnitude faster than the event simulator, and it is the
+    simple reference interpreter the faster engine is tested against.
 
 ``"bitpack"``
     :class:`~repro.sim.backends.bitpack.BitpackBackend` — the same levelized
     evaluation, but with 64 samples packed into each ``uint64`` word (two
-    bit-planes per net for three-valued logic), so every gate costs a
-    handful of bitwise word operations for the whole batch.  The fastest
-    functional backend; same equivalence guarantees as ``"batch"``.
+    bit-planes per net for three-valued logic) and every same-shaped cell
+    of a level evaluated in one grouped call (:mod:`repro.sim.kernels`).
+    The fastest functional backend; bit-identical to ``"batch"``.
 
 Backends are looked up by name through :func:`get_backend`, so experiment
 harnesses can take a ``backend="event"|"batch"|"bitpack"`` argument without
@@ -32,7 +34,6 @@ importing concrete classes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -46,7 +47,7 @@ except ImportError:  # pragma: no cover - typing_extensions fallback
         return cls
 
 
-from repro.circuits.gates import LogicValue
+from repro.circuits.gates import COMPLEX_GATE_SHAPES, GATE_REGISTRY, LogicValue
 from repro.circuits.library import CellLibrary
 from repro.circuits.netlist import Netlist
 
@@ -126,26 +127,15 @@ def classify_cell_type(cell_type: str) -> Optional[Tuple[str, Optional[Tuple[int
     execute: ``compile_program`` validates against it at compile time and
     :func:`make_cell_type_compiler` binds evaluators from it, so a cell
     type accepted by the compiler is guaranteed bindable by every
-    vectorized backend.  Returns ``(tag, groups)`` where *tag* is one of
-    ``"inv" | "buf" | "maj3" | "xor" | "xnor" | "and" | "nand" | "or" |
-    "nor" | "c" | "aoi" | "oai" | "ao" | "oa"`` and *groups* is the
-    per-digit pin grouping for the four complex-gate tags (``None``
-    otherwise), or ``None`` for cell types outside the vocabulary.
+    vectorized backend.  Returns ``(tag, groups)`` — the
+    :class:`~repro.circuits.gates.GateSpec` ``tag`` and ``pin_groups``
+    fields of the registry cell — or ``None`` for cell types outside the
+    vocabulary (TIE constants, flip-flops, unknown names).
     """
-    simple = {
-        "INV": "inv", "BUF": "buf", "MAJ3": "maj3", "XOR2": "xor", "XNOR2": "xnor",
-    }
-    if cell_type in simple:
-        return simple[cell_type], None
-    for prefix, tag in (("NAND", "nand"), ("AND", "and"), ("NOR", "nor"), ("OR", "or")):
-        if cell_type.startswith(prefix):
-            return tag, None
-    if cell_type.startswith("C") and cell_type[1:].isdigit():
-        return "c", None
-    for prefix in ("AOI", "OAI", "AO", "OA"):
-        if cell_type.startswith(prefix) and cell_type[len(prefix):].isdigit():
-            return prefix.lower(), tuple(int(d) for d in cell_type[len(prefix):])
-    return None
+    spec = GATE_REGISTRY.get(cell_type)
+    if spec is None or spec.tag is None:
+        return None
+    return spec.tag, spec.pin_groups
 
 
 def make_cell_type_compiler(
@@ -159,15 +149,14 @@ def make_cell_type_compiler(
 ) -> Callable[[str], Callable]:
     """Build a ``cell type -> evaluator`` compiler from primitive evaluators.
 
-    The levelized backends share one cell-type dispatch
+    The per-cell engines share one cell-type dispatch
     (:func:`classify_cell_type`: INV/BUF, AND/NAND, OR/NOR, XOR2/XNOR2,
     MAJ3, C-elements, and the AOI/OAI/AO/OA complex gates with per-digit
     pin groups); only the primitives differ — the batch backend's operate
-    on ``uint8`` sample arrays, the bitpack backend's on ``(ones, zeros)``
-    bit-plane pairs, the timed engine's on ``(start, final, arrival)``
-    triples.  Each ``*_fn`` takes the cell's input values in pin order and
-    returns the output value; *invert* maps an output value to its logical
-    complement.
+    on ``uint8`` sample arrays, the timed engine's on ``(start, final,
+    arrival)`` triples.  Each ``*_fn`` takes the cell's input values in pin
+    order and returns the output value; *invert* maps an output value to
+    its logical complement.
 
     The returned compiler raises :class:`BackendError` for cell types it
     cannot vectorize (the caller's registration name is quoted in the
@@ -218,12 +207,8 @@ def make_cell_type_compiler(
             return lambda values: invert(or_fn(values))
         if tag == "c":
             return c_fn
-        inner, outer, inverting = {
-            "aoi": (and_fn, or_fn, True),
-            "oai": (or_fn, and_fn, True),
-            "ao": (and_fn, or_fn, False),
-            "oa": (or_fn, and_fn, False),
-        }[tag]
+        inner_and, inverting = COMPLEX_GATE_SHAPES[tag]
+        inner, outer = (and_fn, or_fn) if inner_and else (or_fn, and_fn)
         return grouped(groups, inner, outer, inverting)
 
     return compile_cell_type
@@ -234,9 +219,9 @@ class CellOp:
     """One compiled cell of a levelized backend program.
 
     Evaluation pulls the planes of ``in_nets`` (in the cell type's pin
-    order), applies ``fn`` — whose plane representation is backend-specific
-    (``uint8`` sample arrays for ``"batch"``, ``uint64`` bit-plane pairs for
-    ``"bitpack"``) — and stores the result as ``out_net``.
+    order), applies ``fn`` — whose plane representation is engine-specific
+    (``uint8`` sample arrays for ``"batch"``, ``(start, final, arrival)``
+    triples for the timed engine) — and stores the result as ``out_net``.
     """
 
     cell_name: str
@@ -252,8 +237,8 @@ def bind_cell_ops(program, compile_cell_type: Callable[[str], Callable]) -> List
 
     Evaluator functions are memoised per cell type through
     *compile_cell_type* (one of the :func:`make_cell_type_compiler`
-    instantiations), so the same serialized program serves every vectorized
-    backend — only this binding step is backend-specific.
+    instantiations), so the same serialized program serves every per-cell
+    engine — only this binding step is engine-specific.
     """
     fn_cache: Dict[str, Callable] = {}
     ops: List[CellOp] = []
@@ -272,38 +257,6 @@ def bind_cell_ops(program, compile_cell_type: Callable[[str], Callable]) -> List
             )
         )
     return ops
-
-
-def compile_levelized_ops(
-    netlist: Netlist,
-    compile_cell_type: Callable[[str], Callable],
-    backend_name: str,
-) -> Tuple[List[Tuple[str, int]], List[CellOp]]:
-    """Deprecated shim over :func:`repro.sim.program.compile_program`.
-
-    Historically the shared front half of the levelized backends; the
-    compile step now lives in :mod:`repro.sim.program`, which produces a
-    serializable backend-neutral :class:`~repro.sim.program.CompiledProgram`
-    instead of pre-bound ops.  This wrapper compiles a program and binds it
-    through *compile_cell_type*, returning exactly the ``(constants, ops)``
-    pair the old API produced.
-
-    .. deprecated:: 0.6
-        Use ``compile_program(netlist)`` + :func:`bind_cell_ops` (or simply
-        construct a backend, which does both) instead.
-    """
-    warnings.warn(
-        "compile_levelized_ops is deprecated; use repro.sim.compile_program "
-        "and repro.sim.backends.base.bind_cell_ops to bind the resulting "
-        "CompiledProgram per backend (or construct the backend directly, "
-        "which does both)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sim.program import compile_program
-
-    program = compile_program(netlist)
-    return list(program.constants), bind_cell_ops(program, compile_cell_type)
 
 
 #: name -> factory(netlist, library, vdd) for the built-in backends.
@@ -327,7 +280,6 @@ def get_backend(
     vdd: Optional[float] = None,
     program=None,
     cache=None,
-    fused=None,
 ) -> SimulationBackend:
     """Instantiate the backend registered as *name*.
 
@@ -347,13 +299,6 @@ def get_backend(
         :class:`~repro.sim.program_cache.ProgramCache` in a worker
         process).  Only the vectorized backends accept programs; the event
         backend raises :class:`BackendError`.
-
-    ``fused=`` selects the fused-kernel tier of the vectorized backends
-    (``"off"``/``"grouped"``/``"codegen"`` or a boolean; ``None`` defers to
-    the ``REPRO_FUSED_KERNELS`` environment variable — see
-    :mod:`repro.sim.kernels`).  The event backend has no kernel engine and
-    ignores it.  When both *cache* and the codegen tier are active the
-    cache doubles as the generated-kernel source store.
     """
     try:
         factory = _REGISTRY[name]
@@ -374,16 +319,11 @@ def get_backend(
                 "run a CompiledProgram; construct it with netlist="
             )
         return factory(netlist, library, vdd=vdd)
-    kwargs: Dict[str, object] = {}
-    if fused is not None:
-        kwargs["fused"] = fused
-    if cache is not None:
+    if cache is not None and program is None:
         from repro.sim.program_cache import ProgramCache
 
         store = cache if isinstance(cache, ProgramCache) else ProgramCache(cache)
-        kwargs["kernel_store"] = store
-        if program is None:
-            program = store.load_or_compile(netlist, library, vdd=vdd)
+        program = store.load_or_compile(netlist, library, vdd=vdd)
     if program is not None:
-        return factory(netlist, library, vdd=vdd, program=program, **kwargs)
-    return factory(netlist, library, vdd=vdd, **kwargs)
+        return factory(netlist, library, vdd=vdd, program=program)
+    return factory(netlist, library, vdd=vdd)

@@ -8,6 +8,12 @@ through every cell exactly once.  Evaluating *B* samples therefore costs one
 NumPy op sequence over ``(B,)`` arrays instead of ``B`` full event-driven
 settles — two to three orders of magnitude faster in practice.
 
+The interpreter is deliberately simple — one Python loop iteration per
+cell, one ``uint8`` plane per net — because it is the *reference* the fast
+engine (:class:`~repro.sim.backends.bitpack.BitpackBackend`) is
+differentially tested against, value for value and transition for
+transition.
+
 Value encoding
 --------------
 Nets are ``uint8`` arrays over the batch with ``0``, ``1`` and ``2`` (the
@@ -50,13 +56,6 @@ from repro.circuits.library import CellLibrary
 from repro.circuits.netlist import Netlist
 from repro.obs import trace as _trace
 
-from ..kernels import (
-    PlaneMatrixView,
-    baseline_memo_key,
-    bulk_stimulus_matrix,
-    fused_kernel,
-    grouped_batch_activity,
-)
 from ..program import CompiledProgram, compile_program
 from .base import (
     BackendError,
@@ -234,10 +233,7 @@ class ArrayBatchResult:
     ``values[net]`` is the ``(samples,)`` ``uint8`` plane of every net
     (``2`` encodes X).  This is the zero-copy interface the experiment
     harnesses decode verdicts from; :class:`~repro.sim.backends.base.BatchResult`
-    is the boxed per-sample view used for protocol-level interop.  Under
-    the fused kernel engine ``values`` is a
-    :class:`~repro.sim.kernels.PlaneMatrixView` (row views into one value
-    matrix) rather than a dict — same mapping interface, no per-net copies.
+    is the boxed per-sample view used for protocol-level interop.
     """
 
     samples: int
@@ -269,14 +265,9 @@ class BatchBackend:
         gating by callers applies.
     vdd:
         Recorded for reporting; does not change functional results.
-    fused:
-        Fused-kernel tier selector (``"off"``/``"grouped"``/``"codegen"``
-        or a boolean); ``None`` defers to the ``REPRO_FUSED_KERNELS``
-        environment variable, defaulting to the grouped engine.  See
-        :mod:`repro.sim.kernels`.
-    kernel_store:
-        Optional :class:`~repro.sim.program_cache.ProgramCache` used to
-        persist generated kernel source in codegen mode.
+    program:
+        Alternative construction from a precompiled
+        :class:`~repro.sim.program.CompiledProgram`.
     """
 
     name = "batch"
@@ -287,8 +278,6 @@ class BatchBackend:
         library: Optional[CellLibrary] = None,
         vdd: Optional[float] = None,
         program: Optional[CompiledProgram] = None,
-        fused=None,
-        kernel_store=None,
     ) -> None:
         if netlist is None and program is None:
             raise BackendError(
@@ -302,15 +291,7 @@ class BatchBackend:
         #: The backend-neutral compile artifact this instance executes.
         self.program = program
         self._constants = list(program.constants)
-        #: Grouped/codegen kernel, or ``None`` when running the per-cell loop.
-        self._kernel = fused_kernel(program, self.name, fused=fused,
-                                    store=kernel_store)
-        self._ops = (
-            None if self._kernel is not None
-            else bind_cell_ops(program, _compile_cell_type)
-        )
-        #: Single-slot (key, settled planes) memo of the activity baseline.
-        self._rest_memo = None
+        self._ops = bind_cell_ops(program, _compile_cell_type)
 
     # ------------------------------------------------------------ planes
     def _input_planes(
@@ -340,8 +321,6 @@ class BatchBackend:
             value contributes ``transitions_per_toggle`` transitions per
             differing sample (2 models one spacer→valid→spacer handshake).
         """
-        if self._kernel is not None:
-            return self._run_fused(inputs, baseline, transitions_per_toggle)
         with _trace.span("batch.pack") as pack_span:
             planes, samples = self._input_planes(inputs)
             pack_span.add(samples=samples)
@@ -382,74 +361,6 @@ class BatchBackend:
         return ArrayBatchResult(
             samples=samples,
             values=values,
-            activity_by_cell=activity_by_cell,
-            activity_by_cell_type=activity_by_type,
-        )
-
-    # ------------------------------------------------------- fused kernels
-    def _fused_values(
-        self,
-        inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-    ) -> Tuple[np.ndarray, int]:
-        """Pack the stimulus into the value matrix and run the level sweeps."""
-        plan = self._kernel.plan
-        with _trace.span("batch.pack") as pack_span:
-            rows, stacked, samples = bulk_stimulus_matrix(inputs, plan.net_index)
-            pack_span.add(samples=samples)
-            # X-initialised rows cover unassigned primary inputs and
-            # undriven nets, exactly like the looped engine's x_plane.  The
-            # level sweeps overwrite every driven row, so only undriven
-            # rows not in the stimulus actually need the X fill.
-            values = np.empty((plan.num_nets, samples), dtype=np.uint8)
-            values[np.setdiff1d(plan.nonoutput_rows, rows)] = X
-            values[rows] = stacked
-            for net, constant in self._constants:
-                values[plan.net_index[net]] = np.uint8(constant)
-        with _trace.span("batch.levels", cells=len(self.program.ops)):
-            self._kernel.execute(values)
-        return values, samples
-
-    def _fused_rest_values(
-        self, baseline: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-    ) -> np.ndarray:
-        """The settled rest-state value matrix for *baseline*, memoized.
-
-        Activity accounting needs the baseline evaluated on every call, but
-        callers overwhelmingly pass the same scalar spacer word each time —
-        a single-slot memo keyed on the mapping's contents
-        (:func:`~repro.sim.kernels.baseline_memo_key`) skips the repeated
-        level sweep.  Array-valued baselines bypass the memo.
-        """
-        key = baseline_memo_key(baseline)
-        if key is not None and self._rest_memo is not None:
-            cached_key, cached_values = self._rest_memo
-            if cached_key == key:
-                return cached_values
-        rest_values, _ = self._fused_values(baseline)
-        if key is not None:
-            self._rest_memo = (key, rest_values)
-        return rest_values
-
-    def _run_fused(
-        self,
-        inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-        baseline: Optional[Mapping[str, int]],
-        transitions_per_toggle: int,
-    ) -> ArrayBatchResult:
-        """Grouped-kernel twin of :meth:`run_arrays` (bit-identical results)."""
-        plan = self._kernel.plan
-        values, samples = self._fused_values(inputs)
-        activity_by_cell: Dict[str, int] = {}
-        activity_by_type: Dict[str, int] = {}
-        if baseline is not None:
-            with _trace.span("batch.activity"):
-                rest_values = self._fused_rest_values(baseline)
-                activity_by_cell, activity_by_type = grouped_batch_activity(
-                    plan, values, rest_values, transitions_per_toggle
-                )
-        return ArrayBatchResult(
-            samples=samples,
-            values=PlaneMatrixView(values, plan.net_index),
             activity_by_cell=activity_by_cell,
             activity_by_cell_type=activity_by_type,
         )

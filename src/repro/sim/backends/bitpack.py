@@ -6,7 +6,10 @@ word — so that evaluating a gate over the whole batch costs a handful of
 bitwise word operations instead of one byte-per-sample NumPy pass (the
 ``"batch"`` backend) or one full event-driven settle per sample (the
 ``"event"`` backend).  This is the same trick production logic simulators
-use for functional regression runs.
+use for functional regression runs.  On top of the packing, every
+same-shaped cell of a level is evaluated in one grouped call over
+``(nets, words)`` plane matrices — the grouped plan of
+:mod:`repro.sim.kernels` — so there is no per-cell Python loop either.
 
 Value encoding
 --------------
@@ -32,14 +35,14 @@ Ragged tails
 Sample counts not divisible by 64 leave unused lanes in the final word.
 Those tail lanes simply carry no plane bits — i.e. they are ``X`` — so they
 can never contribute to decoded values or to activity popcounts; no masking
-is needed anywhere on the hot path.
+is needed anywhere past the pack stage.
 
 Switching activity
 ------------------
 As in the batch backend, passing the spacer input word as ``baseline``
 counts one spacer→valid→spacer handshake as two committed transitions per
 cell whose valid-phase value differs from its (known) rest value.  Here the
-count is a single popcount per cell: against a rest value of 0 the toggling
+count is one stacked popcount: against a rest value of 0 the toggling
 samples are exactly the ``ones`` plane, against 1 exactly the ``zeros``
 plane — unknown lanes (including the masked tail) are excluded by
 construction.  Energy estimates are therefore bit-identical to the batch
@@ -63,6 +66,7 @@ from repro.circuits.netlist import Netlist
 from repro.obs import trace as _trace
 
 from ..kernels import (
+    FusedKernel,
     PlanePairMatrixView,
     baseline_memo_key,
     bulk_stimulus_matrix,
@@ -70,14 +74,8 @@ from ..kernels import (
     grouped_bitpack_activity,
 )
 from ..program import CompiledProgram, compile_program
-from .base import (
-    BackendError,
-    BatchResult,
-    bind_cell_ops,
-    make_cell_type_compiler,
-    register_backend,
-)
-from .batch import X, boxed_batch_result, normalize_input_planes, stacked_batch_inputs
+from .base import BackendError, BatchResult, register_backend
+from .batch import X, boxed_batch_result, stacked_batch_inputs
 
 #: Samples per packed word (the lane width of the engine).
 WORD_BITS = 64
@@ -91,107 +89,12 @@ def words_for(samples: int) -> int:
     return (samples + WORD_BITS - 1) // WORD_BITS
 
 
-def pack_bits(bits: np.ndarray, samples: int) -> np.ndarray:
-    """Pack a ``(samples,)`` 0/1 array into ``uint64`` words, LSB-first.
-
-    Lanes past *samples* in the final word are left clear, which encodes
-    them as unknown (``X``) under the two-plane representation — the masked
-    ragged tail.
-    """
-    padded = np.zeros(words_for(samples) * WORD_BITS, dtype=np.uint8)
-    padded[:samples] = bits
-    return np.packbits(padded, bitorder="little").view(np.uint64)
-
-
 def unpack_bits(words: np.ndarray, samples: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: the first *samples* lanes as a 0/1 array."""
+    """The first *samples* lanes of LSB-first packed *words* as a 0/1 array.
+
+    The inverse of the pack stage's ``np.packbits(..., bitorder="little")``.
+    """
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:samples]
-
-
-if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across *words*."""
-        return int(np.bitwise_count(words).sum())
-
-else:  # pragma: no cover - exercised only on NumPy 1.x
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across *words* (NumPy 1.x fallback)."""
-        return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-# ---------------------------------------------------------------------------
-# Word-level three-valued gate evaluators.  Each takes the (ones, zeros)
-# plane pairs of the cell's inputs in pin order and returns the output pair;
-# all preserve the "never both planes set" invariant.
-# ---------------------------------------------------------------------------
-
-
-def _and_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued AND: all known-1 → 1, any known-0 → 0, else X."""
-    ones, zeros = planes[0]
-    for o, z in planes[1:]:
-        ones = ones & o
-        zeros = zeros | z
-    return ones, zeros
-
-
-def _or_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued OR: any known-1 → 1, all known-0 → 0, else X."""
-    ones, zeros = planes[0]
-    for o, z in planes[1:]:
-        ones = ones | o
-        zeros = zeros & z
-    return ones, zeros
-
-
-def _not_plane(pair: PlanePair) -> PlanePair:
-    """Bitwise three-valued NOT — a zero-cost plane swap."""
-    ones, zeros = pair
-    return zeros, ones
-
-
-def _xor_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued XOR: any unknown input poisons the sample."""
-    ones, zeros = planes[0]
-    known = ones | zeros
-    acc = ones
-    for o, z in planes[1:]:
-        known = known & (o | z)
-        acc = acc ^ o
-    out_ones = acc & known
-    return out_ones, known ^ out_ones
-
-
-def _maj3_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued 3-input majority (controlling 2-of-3)."""
-    (oa, za), (ob, zb), (oc, zc) = planes
-    ones = (oa & ob) | (oa & oc) | (ob & oc)
-    zeros = (za & zb) | (za & zc) | (zb & zc)
-    return ones, zeros
-
-
-def _c_element_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """C-element with final input values: all-1 → 1, all-0 → 0, else X."""
-    ones, zeros = planes[0]
-    for o, z in planes[1:]:
-        ones = ones & o
-        zeros = zeros & z
-    return ones, zeros
-
-
-#: Cell-type dispatch over the bit-plane primitives (shared shape with the
-#: batch backend — see :func:`make_cell_type_compiler`).
-_compile_cell_type = make_cell_type_compiler(
-    "bitpack",
-    and_fn=_and_planes,
-    or_fn=_or_planes,
-    xor_fn=_xor_planes,
-    maj3_fn=_maj3_planes,
-    c_fn=_c_element_planes,
-    invert=_not_plane,
-)
 
 
 class _LazyPlaneView(Mapping):
@@ -228,10 +131,10 @@ class PackedBatchResult:
     :class:`~repro.sim.backends.batch.ArrayBatchResult` (``2`` encodes X),
     so every consumer of the batch backend's array results — the verdict
     decoders in :mod:`repro.analysis.measure`, the equivalence tests —
-    works on either without change.  Under the fused kernel engine
-    ``packed`` is a :class:`~repro.sim.kernels.PlanePairMatrixView` (row
-    views into the two plane matrices) rather than a dict — same mapping
-    interface, no per-net copies.
+    works on either without change.  ``packed`` is a
+    :class:`~repro.sim.kernels.PlanePairMatrixView` (row views into the two
+    plane matrices) rather than a dict — same mapping interface, no per-net
+    copies.
     """
 
     samples: int
@@ -263,7 +166,7 @@ class PackedBatchResult:
 
     def value_of(self, net: str, sample: int) -> LogicValue:
         """Decode one net value back into the scalar LogicValue domain."""
-        # Index through the byte view, not word-level shifts: pack_bits
+        # Index through the byte view, not word-level shifts: the pack stage
         # defines lane order via packbits(bitorder="little") on bytes, so
         # this decode is correct regardless of host word endianness.
         byte, bit = divmod(sample, 8)
@@ -292,14 +195,13 @@ class BitpackBackend:
         is purely functional.
     vdd:
         Recorded for reporting; does not change functional results.
-    fused:
-        Fused-kernel tier selector (``"off"``/``"grouped"``/``"codegen"``
-        or a boolean); ``None`` defers to the ``REPRO_FUSED_KERNELS``
-        environment variable, defaulting to the grouped engine.  See
-        :mod:`repro.sim.kernels`.
-    kernel_store:
-        Optional :class:`~repro.sim.program_cache.ProgramCache` used to
-        persist generated kernel source in codegen mode.
+    program:
+        Alternative construction from a precompiled
+        :class:`~repro.sim.program.CompiledProgram`.
+
+    The grouped kernel is fetched (and built, the first time a program is
+    run) on the first :meth:`run_arrays` call, not here: a backend that
+    only serves :meth:`run_timed` never pays for a plan it does not run.
     """
 
     name = "bitpack"
@@ -310,8 +212,6 @@ class BitpackBackend:
         library: Optional[CellLibrary] = None,
         vdd: Optional[float] = None,
         program: Optional[CompiledProgram] = None,
-        fused=None,
-        kernel_store=None,
     ) -> None:
         if netlist is None and program is None:
             raise BackendError(
@@ -325,13 +225,8 @@ class BitpackBackend:
         #: The backend-neutral compile artifact this instance executes.
         self.program = program
         self._constants = list(program.constants)
-        #: Grouped/codegen kernel, or ``None`` when running the per-cell loop.
-        self._kernel = fused_kernel(program, self.name, fused=fused,
-                                    store=kernel_store)
-        self._ops = (
-            None if self._kernel is not None
-            else bind_cell_ops(program, _compile_cell_type)
-        )
+        #: The program's grouped kernel, fetched on first use.
+        self._kernel: Optional[FusedKernel] = None
         #: Single-slot (key, settled planes) memo of the activity baseline.
         self._rest_memo = None
 
@@ -356,70 +251,27 @@ class BitpackBackend:
             transitions per differing sample (2 models one
             spacer→valid→spacer handshake).
         """
-        if self._kernel is not None:
-            return self._run_fused(inputs, baseline, transitions_per_toggle)
-        with _trace.span("bitpack.pack") as pack_span:
-            bit_planes, samples = normalize_input_planes(self.program, inputs)
-            pack_span.add(samples=samples)
-            words = words_for(samples)
-            zero_words = np.zeros(words, dtype=np.uint64)
-            valid_mask = pack_bits(np.ones(samples, dtype=np.uint8), samples)
-            x_pair: PlanePair = (zero_words, zero_words)
-
-            def encode(bits: np.ndarray) -> PlanePair:
-                """Pack a known 0/1 plane: zeros = complement within valid lanes."""
-                ones = pack_bits(bits, samples)
-                return ones, ones ^ valid_mask
-
-            values: Dict[str, PlanePair] = {}
-            for name in self.program.primary_inputs:
-                bits = bit_planes.pop(name, None)
-                values[name] = x_pair if bits is None else encode(bits)
-            # Stimulus may also force internal nets that are actually inputs
-            # of sub-blocks under test; remaining planes are applied verbatim.
-            for name, bits in bit_planes.items():
-                values[name] = encode(bits)
-            for net, constant in self._constants:
-                values[net] = (
-                    (valid_mask, zero_words) if constant else (zero_words, valid_mask)
-                )
-        with _trace.span("bitpack.levels", cells=len(self._ops)):
-            for op in self._ops:
-                planes = [values.get(net, x_pair) for net in op.in_nets]
-                values[op.out_net] = op.fn(planes)
-            for net in self.program.nets:
-                if net not in values:
-                    values[net] = x_pair
-
+        if self._kernel is None:
+            self._kernel = fused_kernel(self.program)
+        plan = self._kernel.plan
+        ones, zeros, samples = self._planes(inputs)
         activity_by_cell: Dict[str, int] = {}
         activity_by_type: Dict[str, int] = {}
         if baseline is not None:
             with _trace.span("bitpack.activity"):
-                rest = self.run_arrays(baseline, baseline=None)
-                for op in self._ops:
-                    rest_value = rest.value_of(op.out_net, 0)
-                    if rest_value is None:
-                        continue
-                    # Lanes that differ from a known rest value are exactly
-                    # the opposite plane's set bits; unknown lanes (tail
-                    # included) have neither bit set and drop out for free.
-                    ones, zeros = values[op.out_net]
-                    toggles = popcount(zeros if rest_value == 1 else ones)
-                    if toggles:
-                        transitions = toggles * transitions_per_toggle
-                        activity_by_cell[op.cell_name] = transitions
-                        activity_by_type[op.cell_type] = (
-                            activity_by_type.get(op.cell_type, 0) + transitions
-                        )
+                rest_ones, rest_zeros = self._rest_planes(baseline)
+                activity_by_cell, activity_by_type = grouped_bitpack_activity(
+                    plan, ones, zeros, rest_ones, rest_zeros,
+                    transitions_per_toggle,
+                )
         return PackedBatchResult(
             samples=samples,
-            packed=values,
+            packed=PlanePairMatrixView(ones, zeros, plan.net_index),
             activity_by_cell=activity_by_cell,
             activity_by_cell_type=activity_by_type,
         )
 
-    # ------------------------------------------------------- fused kernels
-    def _fused_planes(
+    def _planes(
         self,
         inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
     ) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -436,8 +288,8 @@ class BitpackBackend:
             pack_span.add(samples=samples)
             words = words_for(samples)
             # All-zero rows encode X, covering unassigned primary inputs
-            # and undriven nets (same as the looped engine's x_pair).  The
-            # level sweeps overwrite every driven row, so only undriven
+            # and undriven nets (the batch engine's X plane).  The level
+            # sweeps overwrite every driven row, so only undriven
             # rows not in the stimulus actually need the zero fill.
             ones = np.empty((plan.num_nets, words), dtype=np.uint64)
             zeros = np.empty((plan.num_nets, words), dtype=np.uint64)
@@ -468,7 +320,7 @@ class BitpackBackend:
             self._kernel.execute(ones, zeros)
         return ones, zeros, samples
 
-    def _fused_rest_planes(
+    def _rest_planes(
         self, baseline: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The settled rest-state plane matrices for *baseline*, memoized.
@@ -484,35 +336,10 @@ class BitpackBackend:
             cached_key, cached_planes = self._rest_memo
             if cached_key == key:
                 return cached_planes
-        rest_ones, rest_zeros, _ = self._fused_planes(baseline)
+        rest_ones, rest_zeros, _ = self._planes(baseline)
         if key is not None:
             self._rest_memo = (key, (rest_ones, rest_zeros))
         return rest_ones, rest_zeros
-
-    def _run_fused(
-        self,
-        inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-        baseline: Optional[Mapping[str, int]],
-        transitions_per_toggle: int,
-    ) -> PackedBatchResult:
-        """Grouped-kernel twin of :meth:`run_arrays` (bit-identical results)."""
-        plan = self._kernel.plan
-        ones, zeros, samples = self._fused_planes(inputs)
-        activity_by_cell: Dict[str, int] = {}
-        activity_by_type: Dict[str, int] = {}
-        if baseline is not None:
-            with _trace.span("bitpack.activity"):
-                rest_ones, rest_zeros = self._fused_rest_planes(baseline)
-                activity_by_cell, activity_by_type = grouped_bitpack_activity(
-                    plan, ones, zeros, rest_ones, rest_zeros,
-                    transitions_per_toggle,
-                )
-        return PackedBatchResult(
-            samples=samples,
-            packed=PlanePairMatrixView(ones, zeros, plan.net_index),
-            activity_by_cell=activity_by_cell,
-            activity_by_cell_type=activity_by_type,
-        )
 
     # -------------------------------------------------------------- timing
     def run_timed(

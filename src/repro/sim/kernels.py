@@ -1,124 +1,49 @@
-"""Fused grouped-kernel execution engine over the compiled IR.
+"""Grouped-kernel execution engine of the bitpack backend.
 
-The levelized backends historically executed a
-:class:`~repro.sim.program.CompiledProgram` one cell at a time: a Python
-loop over :class:`~repro.sim.backends.base.CellOp`, each iteration paying a
-list-comprehension gather, a function call and a handful of small NumPy
-ops.  For the bit-packed engine — where a whole 10k-sample batch is ~160
-``uint64`` words per net — that per-cell interpreter overhead dominates the
-actual bitwise work by an order of magnitude.
+Executing a :class:`~repro.sim.program.CompiledProgram` one cell at a time
+costs a Python loop iteration, a list-comprehension gather, a function call
+and a handful of small NumPy ops per cell.  For the bit-packed engine —
+where a whole 10k-sample batch is ~160 ``uint64`` words per net — that
+per-cell interpreter overhead dominates the actual bitwise work by an
+order of magnitude.
 
 This module removes the per-cell loop.  :func:`build_grouped_plan` buckets
 a program's ops **per level and per dispatch tag** (the vocabulary of
 :func:`~repro.sim.backends.base.classify_cell_type`) into contiguous
 gather/scatter index arrays, so one vectorized call — e.g. a single
-``np.bitwise_and.reduce`` over the stacked input planes of every AND2 in
-the level — evaluates the whole group at once.  Values live in one
-``(num_nets, ...)`` matrix per plane instead of a ``net → array`` dict;
-gathers and scatters are NumPy fancy indexing on row indices.
+``&`` over the gathered input planes of every AND2 in the level —
+evaluates the whole group at once.  Values live in one ``(num_nets,
+words)`` matrix per bit-plane instead of a ``net → array`` dict; gathers
+and scatters are NumPy fancy indexing on row indices.  Execution is a
+small interpreter: one Python dispatch per *group* per level, with the
+per-group evaluators below doing all the math.
 
-Two execution tiers share the plan:
-
-``"grouped"`` (the default)
-    A small interpreter: one Python dispatch per *group* per level,
-    with the per-group evaluators below doing all the math.
-
-``"codegen"``
-    :func:`generate_kernel_source` renders the plan into straight-line
-    NumPy source — one statement block per group, level structure and
-    group sizes baked in — which is ``exec``'d once per
-    ``(program_hash, backend)`` pair and cached in-process.  With a
-    :class:`~repro.sim.program_cache.ProgramCache` attached the generated
-    source is also stored on disk next to the program artifact, so other
-    processes load the text instead of re-rendering it.
-
-Both tiers are **bit-identical** to the looped interpreter (and therefore
-to the event simulator) for values *and* switching-activity counts — the
-cross-backend differential fuzzing suite
-(``tests/sim/test_differential_fuzz.py``) enforces this over randomized
-netlists, batch shapes and X-laden stimulus.
-
-Escape hatch
-------------
-The fused path is the default for the batch and bitpack backends.  Pass
-``fused="off"`` (or ``False``) to a backend constructor — or set the
-``REPRO_FUSED_KERNELS`` environment variable to ``off``/``grouped``/
-``codegen`` — to pick the tier process-wide; an explicit constructor
-argument always wins over the environment.
+The engine is **bit-identical** to the looped dense interpreter of
+:class:`~repro.sim.backends.batch.BatchBackend` (and therefore to the event
+simulator) for values *and* switching-activity counts — the differential
+fuzzing suite (``tests/sim/test_differential_fuzz.py``) enforces this over
+randomized netlists, batch shapes and X-laden stimulus.
 
 Observability
 -------------
-Plan construction and codegen run under a ``kernel.build`` span (levels,
-groups, cells, tier, whether the source came from the cache); each level's
-grouped execution runs under a ``kernel.level_group`` span.  The backends'
-own ``*.pack`` / ``*.levels`` / ``*.activity`` spans are unchanged.
+Plan construction runs under a ``kernel.build`` span (levels, groups,
+cells); each level's grouped execution runs under a ``kernel.level_group``
+span.  The backend's own ``bitpack.pack`` / ``bitpack.levels`` /
+``bitpack.activity`` spans wrap them.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.circuits.gates import COMPLEX_GATE_SHAPES
 from repro.obs import trace as _trace
 
 from .backends.base import BackendError, classify_cell_type
-
-#: Environment variable selecting the fused-kernel tier process-wide.
-FUSED_ENV_VAR = "REPRO_FUSED_KERNELS"
-
-#: Version stamp of the kernel generator.  Bump whenever the generated
-#: source layout changes so on-disk kernel sources are invalidated.
-KERNEL_CODEGEN_VERSION = 1
-
-#: The three execution tiers (``"off"`` falls back to the per-cell loop).
-MODE_OFF = "off"
-MODE_GROUPED = "grouped"
-MODE_CODEGEN = "codegen"
-FUSED_MODES = (MODE_OFF, MODE_GROUPED, MODE_CODEGEN)
-
-_OFF_NAMES = frozenset({"0", "false", "off", "no", "looped"})
-_GROUPED_NAMES = frozenset({"1", "true", "on", "yes", "grouped", "fused"})
-_CODEGEN_NAMES = frozenset({"2", "codegen", "generated"})
-
-# Plane encoding shared with repro.sim.backends.batch (redefined here so the
-# kernels module stays import-free of the backend modules that import it).
-_X = np.uint8(2)
-_ZERO = np.uint8(0)
-_ONE = np.uint8(1)
-_NOT_LUT = np.array([1, 0, 2], dtype=np.uint8)
-
-
-def resolve_fused_mode(fused=None) -> str:
-    """Normalize a ``fused=`` argument (or the environment) to a tier name.
-
-    ``None`` defers to :data:`FUSED_ENV_VAR`, defaulting to ``"grouped"``
-    when the variable is unset or empty; booleans map to
-    ``"grouped"``/``"off"``; strings accept the tier names plus the usual
-    on/off spellings.  Unrecognized values raise :class:`BackendError`
-    rather than silently running a different engine than asked for.
-    """
-    value = fused
-    if value is None:
-        value = os.environ.get(FUSED_ENV_VAR)
-        if value is None or not str(value).strip():
-            return MODE_GROUPED
-    if isinstance(value, bool):
-        return MODE_GROUPED if value else MODE_OFF
-    name = str(value).strip().lower()
-    if name in _OFF_NAMES:
-        return MODE_OFF
-    if name in _GROUPED_NAMES:
-        return MODE_GROUPED
-    if name in _CODEGEN_NAMES:
-        return MODE_CODEGEN
-    raise BackendError(
-        f"unrecognized fused-kernel mode {value!r}; expected one of "
-        f"{'/'.join(FUSED_MODES)} (or a boolean)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +91,9 @@ class OpGroup:
 class GroupedPlan:
     """A compiled program re-bucketed for grouped gather/scatter execution.
 
-    Derived deterministically from the program alone (level structure is
+    Derived deterministically from the program alone: level structure is
     reconstructed from the op list's data dependencies, so cached programs
-    need no netlist), and shared by the batch and bitpack engines — only
-    the per-group evaluators differ.
+    need no netlist.
     """
 
     #: ``net name -> value-matrix row`` (netlist insertion order).
@@ -186,8 +110,6 @@ class GroupedPlan:
     nonoutput_rows: np.ndarray
     #: Cell instance names in program op order (for activity dicts).
     cell_names: Tuple[str, ...]
-    #: Cell types in program op order (for activity dicts).
-    cell_types: Tuple[str, ...]
     #: Distinct cell types, first-encounter order (activity aggregation).
     type_names: Tuple[str, ...]
     #: Per-op index into :attr:`type_names` (for one-bincount aggregation).
@@ -211,8 +133,7 @@ def build_grouped_plan(program) -> GroupedPlan:
     past its deepest producer), which reproduces the compile-time
     levelization for any valid program; within a level, ops are grouped by
     ``(dispatch tag, pin grouping, arity)`` in first-encounter order, so
-    the plan — and any kernel source generated from it — is deterministic
-    for a given program.
+    the plan is deterministic for a given program.
     """
     net_index = {net: i for i, net in enumerate(program.net_names)}
     producer_level: Dict[str, int] = {}
@@ -231,7 +152,7 @@ def build_grouped_plan(program) -> GroupedPlan:
         kind = classify_cell_type(op.cell_type)
         if kind is None:  # compile_program validated this; guard anyway
             raise BackendError(
-                f"fused kernels cannot vectorize cell type {op.cell_type!r}"
+                f"the grouped kernel cannot vectorize cell type {op.cell_type!r}"
             )
         tag, pin_groups = kind
         while len(buckets) <= level:
@@ -283,115 +204,16 @@ def build_grouped_plan(program) -> GroupedPlan:
             np.arange(len(net_index), dtype=np.intp), out_idx
         ),
         cell_names=tuple(names),
-        cell_types=tuple(types),
         type_names=tuple(type_index),
         type_codes=type_codes,
     )
 
 
 # ---------------------------------------------------------------------------
-# Batch (uint8 sample-plane) group evaluators.  Each takes the gathered
-# ``(cells, arity, samples)`` stack and returns the ``(cells, samples)``
-# output plane; three-valued semantics match repro.sim.backends.batch
-# element for element.
-# ---------------------------------------------------------------------------
-
-
-def _b_and(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued AND: any 0 → 0, all 1 → 1, else X."""
-    return np.where(
-        (stack == 0).any(axis=1), _ZERO,
-        np.where((stack == 1).all(axis=1), _ONE, _X),
-    )
-
-
-def _b_or(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued OR: any 1 → 1, all 0 → 0, else X."""
-    return np.where(
-        (stack == 1).any(axis=1), _ONE,
-        np.where((stack == 0).all(axis=1), _ZERO, _X),
-    )
-
-
-def _b_xor(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued XOR: any unknown input poisons the sample."""
-    unknown = (stack == _X).any(axis=1)
-    acc = np.bitwise_xor.reduce(stack, axis=1) & 1
-    return np.where(unknown, _X, acc.astype(np.uint8))
-
-
-def _b_maj3(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued 3-input majority (controlling 2-of-3)."""
-    ones = (stack == 1).sum(axis=1)
-    zeros = (stack == 0).sum(axis=1)
-    return np.where(ones >= 2, _ONE, np.where(zeros >= 2, _ZERO, _X))
-
-
-def _b_c(stack: np.ndarray) -> np.ndarray:
-    """Grouped C-element with final input values: all-1 → 1, all-0 → 0, else X."""
-    return np.where(
-        (stack == 1).all(axis=1), _ONE,
-        np.where((stack == 0).all(axis=1), _ZERO, _X),
-    )
-
-
-def _b_complex(pin_groups: Tuple[int, ...], inner_and: bool,
-               inverting: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Grouped AOI/OAI/AO/OA evaluator over per-digit pin slices."""
-
-    def fn(stack: np.ndarray) -> np.ndarray:
-        """Inner op per pin group, outer op across groups, optional invert."""
-        terms: List[np.ndarray] = []
-        lo = 0
-        for width in pin_groups:
-            seg = stack[:, lo: lo + width]
-            if width == 1:
-                terms.append(seg[:, 0])
-            else:
-                terms.append(_b_and(seg) if inner_and else _b_or(seg))
-            lo += width
-        outer = np.stack(terms, axis=1)
-        out = _b_or(outer) if inner_and else _b_and(outer)
-        return _NOT_LUT[out] if inverting else out
-
-    return fn
-
-
-def _batch_group_fn(group: OpGroup) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``(cells, arity, samples) -> (cells, samples)`` evaluator of *group*."""
-    tag = group.tag
-    if tag == "inv":
-        return lambda stack: _NOT_LUT[stack[:, 0]]
-    if tag == "buf":
-        return lambda stack: stack[:, 0]
-    if tag == "and":
-        return _b_and
-    if tag == "nand":
-        return lambda stack: _NOT_LUT[_b_and(stack)]
-    if tag == "or":
-        return _b_or
-    if tag == "nor":
-        return lambda stack: _NOT_LUT[_b_or(stack)]
-    if tag == "xor":
-        return _b_xor
-    if tag == "xnor":
-        return lambda stack: _NOT_LUT[_b_xor(stack)]
-    if tag == "maj3":
-        return _b_maj3
-    if tag == "c":
-        return _b_c
-    inner_and, inverting = {
-        "aoi": (True, True), "oai": (False, True),
-        "ao": (True, False), "oa": (False, False),
-    }[tag]
-    return _b_complex(group.pin_groups, inner_and, inverting)
-
-
-# ---------------------------------------------------------------------------
-# Bitpack (uint64 bit-plane pair) group evaluators.  Each takes the two
-# ``(nets, words)`` plane matrices plus the group, gathers the member rows
-# pin by pin (``group.in_cols``), and returns the output ``(cells, words)``
-# plane pair; semantics match repro.sim.backends.bitpack.  Gathering one
+# Bit-plane group evaluators.  Each takes the two ``(nets, words)`` plane
+# matrices plus the group, gathers the member rows pin by pin
+# (``group.in_cols``), and returns the output ``(cells, words)`` plane
+# pair; semantics match repro.sim.backends.bitpack.  Gathering one
 # pin column at a time keeps every temporary at ``(cells, words)`` and the
 # op count at ``arity - 1`` per plane — measurably faster than a stacked
 # 3-D gather + ``ufunc.reduce`` for the 2-input gates real netlists are
@@ -454,9 +276,7 @@ def _p_complex_stacked(pin_groups: Tuple[int, ...], inner_and: bool,
                        inverting: bool):
     """Stacked-gather AOI/OAI/AO/OA evaluator (``fn(O, Z)`` over 3-D stacks).
 
-    Complex gates are rare enough that the generic stacked form is kept —
-    it is also the callable the codegen tier places in the ``_FNS``
-    namespace table.
+    Complex gates are rare enough that the generic stacked form is kept.
     """
 
     def fn(ones: np.ndarray, zeros: np.ndarray):
@@ -489,13 +309,7 @@ def _p_complex_stacked(pin_groups: Tuple[int, ...], inner_and: bool,
     return fn
 
 
-_COMPLEX_SHAPES = {
-    "aoi": (True, True), "oai": (False, True),
-    "ao": (True, False), "oa": (False, False),
-}
-
-
-def _bitpack_group_fn(group: OpGroup) -> _PlanePairFn:
+def _group_fn(group: OpGroup) -> _PlanePairFn:
     """The plane-pair evaluator of *group* (inputs gathered in pin order)."""
     tag = group.tag
     if tag == "inv":
@@ -518,7 +332,7 @@ def _bitpack_group_fn(group: OpGroup) -> _PlanePairFn:
         return _p_maj3
     if tag == "c":
         return _p_c
-    inner_and, inverting = _COMPLEX_SHAPES[tag]
+    inner_and, inverting = COMPLEX_GATE_SHAPES[tag]
     stacked = _p_complex_stacked(group.pin_groups, inner_and, inverting)
     return lambda ones, zeros, g: stacked(ones[g.in_idx], zeros[g.in_idx])
 
@@ -526,33 +340,6 @@ def _bitpack_group_fn(group: OpGroup) -> _PlanePairFn:
 # ---------------------------------------------------------------------------
 # Value-matrix views: net-keyed read access over the row-indexed matrices.
 # ---------------------------------------------------------------------------
-
-
-class PlaneMatrixView(Mapping):
-    """Read-only ``net → uint8 row view`` mapping over a value matrix.
-
-    The fused batch engine stores all net planes in one ``(nets, samples)``
-    matrix; this view presents the classic per-net dict interface without
-    materializing ~thousands of dict entries per call.
-    """
-
-    __slots__ = ("_matrix", "_index")
-
-    def __init__(self, matrix: np.ndarray, index: Dict[str, int]) -> None:
-        self._matrix = matrix
-        self._index = index
-
-    def __getitem__(self, net: str) -> np.ndarray:
-        """The ``(samples,)`` plane of *net* (a view into the matrix)."""
-        return self._matrix[self._index[net]]
-
-    def __iter__(self) -> Iterator[str]:
-        """Iterate net names in netlist insertion order."""
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        """Number of nets."""
-        return len(self._index)
 
 
 class PlanePairMatrixView(Mapping):
@@ -586,21 +373,20 @@ class PlanePairMatrixView(Mapping):
 
 
 def bulk_stimulus_matrix(
-    inputs: Mapping, net_index: Dict[str, int], lane_align: int = 1,
+    inputs: Mapping, net_index: Dict[str, int], lane_align: int,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Normalize a stimulus mapping into one stacked ``uint8`` matrix.
 
-    The fused engines' replacement for the per-net
+    The grouped engine's replacement for the per-net
     ``normalize_input_planes`` loop: batch-size inference, scalar
     broadcast, the unknown-net and Boolean checks, and the fill all happen
     against a single ``(stimulus nets, width)`` matrix, so the pack stage
     downstream is one vectorized call instead of thousands of small-array
     ops.  The column width is the batch size rounded up to a multiple of
-    *lane_align* (the bitpack engine passes its word lane count; padding
-    columns stay zero).  Returns
+    *lane_align* (the word lane count; padding columns stay zero).  Returns
     ``(row indices into the net-order matrices, stacked matrix, samples)``.
 
-    Error semantics match the looped path exactly:
+    Error semantics match ``normalize_input_planes`` exactly:
     :class:`~repro.sim.backends.base.BackendError` for inconsistent batch
     sizes or non-Boolean values, :class:`KeyError` for unknown nets.
     """
@@ -655,7 +441,7 @@ def baseline_memo_key(baseline: Mapping) -> Optional[Tuple]:
     Activity accounting re-evaluates the rest state on every call, yet in
     practice the baseline is the same spacer word call after call (the
     serving worker, the analysis sweeps and the benchmarks all hold one
-    rest mapping per design).  The fused backends use this key for a
+    rest mapping per design).  The bitpack backend uses this key for a
     single-slot memo of the settled rest planes; array-valued baselines
     return ``None`` and are simply re-evaluated.
     """
@@ -674,7 +460,7 @@ def baseline_memo_key(baseline: Mapping) -> Optional[Tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Fused switching-activity accounting.
+# Grouped switching-activity accounting.
 # ---------------------------------------------------------------------------
 
 if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
@@ -695,52 +481,6 @@ else:  # pragma: no cover - exercised only on NumPy 1.x
         )
 
 
-def _activity_dicts(
-    plan: GroupedPlan,
-    toggles: np.ndarray,
-    transitions_per_toggle: int,
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Per-cell toggle counts → the backends' activity dict pair.
-
-    Only cells that toggled get entries (matching the looped accounting);
-    the per-type aggregation is one ``bincount`` over precomputed type
-    codes instead of a Python accumulation loop.
-    """
-    nz = np.nonzero(toggles)[0]
-    scaled = toggles[nz] * transitions_per_toggle
-    names = plan.cell_names
-    by_cell = {
-        names[i]: t for i, t in zip(nz.tolist(), scaled.tolist())
-    }
-    totals = np.bincount(
-        plan.type_codes[nz], weights=scaled, minlength=len(plan.type_names)
-    )
-    by_type = {
-        plan.type_names[t]: int(totals[t]) for t in np.nonzero(totals)[0]
-    }
-    return by_cell, by_type
-
-
-def grouped_batch_activity(
-    plan: GroupedPlan,
-    values: np.ndarray,
-    rest_values: np.ndarray,
-    transitions_per_toggle: int = 2,
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Fused transition counting for the batch engine.
-
-    One gather over the output rows replaces the per-cell
-    ``np.count_nonzero`` loop; counts are identical to the looped path —
-    samples toggle when their value is known and differs from the cell's
-    known rest value.
-    """
-    out_rows = values[plan.out_idx]
-    rest = rest_values[plan.out_idx, 0]
-    toggles = ((out_rows != rest[:, None]) & (out_rows != _X)).sum(axis=1)
-    toggles[rest == _X] = 0
-    return _activity_dicts(plan, toggles, transitions_per_toggle)
-
-
 def grouped_bitpack_activity(
     plan: GroupedPlan,
     ones: np.ndarray,
@@ -749,7 +489,7 @@ def grouped_bitpack_activity(
     rest_zeros: np.ndarray,
     transitions_per_toggle: int = 2,
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Fused popcount transition accounting for the bitpack engine.
+    """Grouped popcount transition accounting: the activity dict pair.
 
     Against a known rest value of 1 the toggling lanes are exactly the
     ``zeros`` plane, against 0 exactly the ``ones`` plane; one stacked
@@ -767,331 +507,81 @@ def grouped_bitpack_activity(
     at_zero = np.nonzero(rest_zero & ~rest_one)[0]
     toggles[at_one] = _popcount_rows(zeros[out[at_one]])
     toggles[at_zero] = _popcount_rows(ones[out[at_zero]])
-    return _activity_dicts(plan, toggles, transitions_per_toggle)
+    # Only cells that toggled get entries (matching the looped accounting);
+    # the per-type aggregation is one bincount over precomputed type codes.
+    nz = np.nonzero(toggles)[0]
+    scaled = toggles[nz] * transitions_per_toggle
+    names = plan.cell_names
+    by_cell = {names[i]: t for i, t in zip(nz.tolist(), scaled.tolist())}
+    totals = np.bincount(
+        plan.type_codes[nz], weights=scaled, minlength=len(plan.type_names)
+    )
+    by_type = {
+        plan.type_names[t]: int(totals[t]) for t in np.nonzero(totals)[0]
+    }
+    return by_cell, by_type
 
 
 # ---------------------------------------------------------------------------
-# Kernel source generation (the codegen tier).
-# ---------------------------------------------------------------------------
-
-def _batch_group_stmts(group: OpGroup, k: int) -> List[str]:
-    """Generated statements evaluating batch group *k* (``V`` value matrix)."""
-    tag = group.tag
-    if tag == "inv":
-        return [f"V[OUT[{k}]] = _NOT[V[INC[{k}][0]]]"]
-    if tag == "buf":
-        return [f"V[OUT[{k}]] = V[INC[{k}][0]]"]
-    simple = {
-        "and": "np.where((A == 0).any(axis=1), _Z,"
-               " np.where((A == 1).all(axis=1), _O, _X))",
-        "or": "np.where((A == 1).any(axis=1), _O,"
-              " np.where((A == 0).all(axis=1), _Z, _X))",
-        "c": "np.where((A == 1).all(axis=1), _O,"
-             " np.where((A == 0).all(axis=1), _Z, _X))",
-        "maj3": "np.where((A == 1).sum(axis=1) >= 2, _O,"
-                " np.where((A == 0).sum(axis=1) >= 2, _Z, _X))",
-        "xor": "np.where((A == _X).any(axis=1), _X,"
-               " (np.bitwise_xor.reduce(A, axis=1) & 1).astype(np.uint8))",
-    }
-    if tag in simple:
-        return [f"A = V[IN[{k}]]", f"V[OUT[{k}]] = " + simple[tag]]
-    inverted = {"nand": "and", "nor": "or", "xnor": "xor"}
-    if tag in inverted:
-        return [
-            f"A = V[IN[{k}]]",
-            f"V[OUT[{k}]] = _NOT[" + simple[inverted[tag]] + "]",
-        ]
-    return [f"V[OUT[{k}]] = _FNS[{k}](V[IN[{k}]])"]
-
-
-def _pin_expr(matrix: str, k: int, pin: int) -> str:
-    """Source of one gathered pin-column plane of group *k*."""
-    return f"{matrix}[INC[{k}][{pin}]]"
-
-
-def _chain_expr(matrix: str, k: int, op: str, arity: int) -> str:
-    """Source folding *op* over all gathered pin columns of group *k*."""
-    return f" {op} ".join(_pin_expr(matrix, k, p) for p in range(arity))
-
-
-def _bitpack_group_stmts(group: OpGroup, k: int) -> List[str]:
-    """Generated statements evaluating bitpack group *k* (plane matrices).
-
-    Temporaries are always computed before the scatters, so plane swaps
-    (INV, NAND, NOR, XNOR) can never read rows the same statement block
-    already overwrote.
-    """
-    tag = group.tag
-    arity = group.in_idx.shape[1]
-    if tag == "inv":
-        return [
-            f"t0 = {_pin_expr('VZ', k, 0)}",
-            f"t1 = {_pin_expr('VO', k, 0)}",
-            f"VO[OUT[{k}]] = t0",
-            f"VZ[OUT[{k}]] = t1",
-        ]
-    if tag == "buf":
-        return [
-            f"VO[OUT[{k}]] = {_pin_expr('VO', k, 0)}",
-            f"VZ[OUT[{k}]] = {_pin_expr('VZ', k, 0)}",
-        ]
-    plane_ops = {
-        "and": ("&", "|"), "or": ("|", "&"), "c": ("&", "&"),
-    }
-    if tag in plane_ops:
-        one_op, zero_op = plane_ops[tag]
-        return [
-            f"VO[OUT[{k}]] = {_chain_expr('VO', k, one_op, arity)}",
-            f"VZ[OUT[{k}]] = {_chain_expr('VZ', k, zero_op, arity)}",
-        ]
-    if tag in ("nand", "nor"):
-        one_op, zero_op = plane_ops["and" if tag == "nand" else "or"]
-        return [
-            f"t0 = {_chain_expr('VZ', k, zero_op, arity)}",
-            f"t1 = {_chain_expr('VO', k, one_op, arity)}",
-            f"VO[OUT[{k}]] = t0",
-            f"VZ[OUT[{k}]] = t1",
-        ]
-    if tag == "maj3":
-        o = [_pin_expr("VO", k, p) for p in range(3)]
-        z = [_pin_expr("VZ", k, p) for p in range(3)]
-        return [
-            f"o0 = {o[0]}",
-            f"o1 = {o[1]}",
-            f"o2 = {o[2]}",
-            f"z0 = {z[0]}",
-            f"z1 = {z[1]}",
-            f"z2 = {z[2]}",
-            f"VO[OUT[{k}]] = (o0 & o1) | (o0 & o2) | (o1 & o2)",
-            f"VZ[OUT[{k}]] = (z0 & z1) | (z0 & z2) | (z1 & z2)",
-        ]
-    if tag in ("xor", "xnor"):
-        known = " & ".join(
-            f"({_pin_expr('VO', k, p)} | {_pin_expr('VZ', k, p)})"
-            for p in range(arity)
-        )
-        acc = _chain_expr("VO", k, "^", arity)
-        ones_stmt, zeros_stmt = ("t0", "K ^ t0")
-        if tag == "xnor":
-            ones_stmt, zeros_stmt = ("K ^ t0", "t0")
-        return [
-            f"K = {known}",
-            f"t0 = ({acc}) & K",
-            f"VO[OUT[{k}]] = {ones_stmt}",
-            f"VZ[OUT[{k}]] = {zeros_stmt}",
-        ]
-    return [
-        f"t0, t1 = _FNS[{k}](VO[IN[{k}]], VZ[IN[{k}]])",
-        f"VO[OUT[{k}]] = t0",
-        f"VZ[OUT[{k}]] = t1",
-    ]
-
-
-def generate_kernel_source(plan: GroupedPlan, kind: str,
-                           program_hash: str = "") -> str:
-    """Render *plan* into the straight-line NumPy kernel source for *kind*.
-
-    The source defines one function, ``kernel(V)`` for the batch engine or
-    ``kernel(VO, VZ)`` for bitpack, with one ``kernel.level_group`` span
-    per level and one statement block per group.  Gather/scatter index
-    arrays are *not* serialized — they are rebound from the plan into the
-    ``IN``/``INC``/``OUT`` namespace tuples when the source is ``exec``'d
-    by :class:`FusedKernel`, so the
-    text is small, deterministic and content-addressed by the program
-    hash.  Complex-gate groups (AOI/OAI/AO/OA) dispatch through the
-    ``_FNS`` evaluator table instead of inline statements.
-    """
-    if kind not in ("batch", "bitpack"):
-        raise BackendError(f"unknown fused-kernel backend kind {kind!r}")
-    stmts_for = _batch_group_stmts if kind == "batch" else _bitpack_group_stmts
-    lines = [
-        f"# fused {kind} kernel v{KERNEL_CODEGEN_VERSION}"
-        f" program={program_hash or 'unhashed'}",
-        "# generated by repro.sim.kernels.generate_kernel_source — do not edit",
-        f"def kernel({'V' if kind == 'batch' else 'VO, VZ'}):",
-    ]
-    if not plan.levels:
-        lines.append("    pass")
-    k = 0
-    for level_index, level in enumerate(plan.levels):
-        cells = sum(group.cells for group in level)
-        lines.append(
-            f"    with _span('kernel.level_group', level={level_index}, "
-            f"groups={len(level)}, cells={cells}):"
-        )
-        for group in level:
-            lines.append(f"        # {group.tag} x{group.cells}")
-            for stmt in stmts_for(group, k):
-                lines.append("        " + stmt)
-            k += 1
-    return "\n".join(lines) + "\n"
-
-
-def _exec_kernel_source(source: str, plan: GroupedPlan, kind: str) -> Callable:
-    """Bind *source* to the plan's index arrays and return the kernel function."""
-    groups = [group for level in plan.levels for group in level]
-    namespace = {
-        "np": np,
-        "_span": _trace.span,
-        "_NOT": _NOT_LUT,
-        "_X": _X,
-        "_Z": _ZERO,
-        "_O": _ONE,
-        "IN": tuple(group.in_idx for group in groups),
-        "INC": tuple(group.in_cols for group in groups),
-        "OUT": tuple(group.out_idx for group in groups),
-        "_FNS": tuple(
-            (
-                _batch_group_fn(group) if kind == "batch"
-                else _p_complex_stacked(
-                    group.pin_groups, *_COMPLEX_SHAPES[group.tag]
-                )
-            )
-            if group.tag in _COMPLEX_SHAPES else None
-            for group in groups
-        ),
-    }
-    code = compile(source, f"<fused-{kind}-kernel>", "exec")
-    exec(code, namespace)  # noqa: S102 - source is generated by this module
-    return namespace["kernel"]
-
-
-# ---------------------------------------------------------------------------
-# The executable kernel object the backends hold.
+# The executable kernel object the backend holds.
 # ---------------------------------------------------------------------------
 
 
 class FusedKernel:
-    """An executable grouped kernel bound to one (program, backend kind, tier).
+    """The grouped plan of one program with its per-group evaluators bound.
 
-    Construction runs under a ``kernel.build`` span: plan bucketing, per-
-    group evaluator binding and — in codegen mode — source generation (or a
-    cache load) plus the one-time ``exec``.  :meth:`execute` then runs the
-    level sweeps in place over the caller's value matrices.
+    Construction runs under a ``kernel.build`` span: plan bucketing plus
+    evaluator binding.  :meth:`execute` then runs the level sweeps in place
+    over the caller's bit-plane matrices.
     """
 
-    def __init__(self, program, kind: str, mode: str, store=None) -> None:
-        if kind not in ("batch", "bitpack"):
-            raise BackendError(f"unknown fused-kernel backend kind {kind!r}")
-        if mode not in (MODE_GROUPED, MODE_CODEGEN):
-            raise BackendError(f"FusedKernel cannot run in mode {mode!r}")
-        self.kind = kind
-        self.mode = mode
-        self.source: Optional[str] = None
-        with _trace.span("kernel.build", backend=kind, mode=mode) as span:
-            self.plan = plan = _plan_for(program)
-            self._fns: Tuple[tuple, ...] = ()
-            self._codegen_fn: Optional[Callable] = None
-            source_cached = False
-            if mode == MODE_CODEGEN:
-                program_hash = program.program_hash
-                source = None
-                if store is not None:
-                    source = store.load_kernel_source(
-                        program_hash, kind, version=KERNEL_CODEGEN_VERSION
-                    )
-                    source_cached = source is not None
-                if source is None:
-                    source = generate_kernel_source(
-                        plan, kind, program_hash=program_hash
-                    )
-                    if store is not None:
-                        store.store_kernel_source(
-                            program_hash, kind, source,
-                            version=KERNEL_CODEGEN_VERSION,
-                        )
-                self.source = source
-                self._codegen_fn = _exec_kernel_source(source, plan, kind)
-            else:
-                bind = _batch_group_fn if kind == "batch" else _bitpack_group_fn
-                self._fns = tuple(
-                    tuple(bind(group) for group in level) for level in plan.levels
-                )
+    def __init__(self, program) -> None:
+        with _trace.span("kernel.build") as span:
+            self.plan = plan = build_grouped_plan(program)
+            self._fns = tuple(
+                tuple(_group_fn(group) for group in level) for level in plan.levels
+            )
             span.add(
                 levels=len(plan.levels),
                 groups=plan.num_groups,
                 cells=plan.num_cells,
-                source_cached=source_cached,
             )
 
-    def execute(self, *matrices: np.ndarray) -> None:
-        """Run the level sweeps in place.
+    def execute(self, ones: np.ndarray, zeros: np.ndarray) -> None:
+        """Run the level sweeps in place over the ``(nets, words)`` planes.
 
-        Batch kernels take the ``(nets, samples)`` uint8 value matrix;
-        bitpack kernels take the ``(nets, words)`` ones and zeros matrices.
         Rows of nets without drivers are left untouched (X by
-        initialization), mirroring the looped engines.
+        initialization), mirroring the looped interpreter.
         """
-        if self._codegen_fn is not None:
-            self._codegen_fn(*matrices)
-            return
-        if self.kind == "batch":
-            (values,) = matrices
-            for level_index, level in enumerate(self.plan.levels):
-                with _trace.span(
-                    "kernel.level_group", level=level_index, groups=len(level),
-                    cells=sum(group.cells for group in level),
-                ):
-                    for group, fn in zip(level, self._fns[level_index]):
-                        values[group.out_idx] = fn(values[group.in_idx])
-        else:
-            ones, zeros = matrices
-            for level_index, level in enumerate(self.plan.levels):
-                with _trace.span(
-                    "kernel.level_group", level=level_index, groups=len(level),
-                    cells=sum(group.cells for group in level),
-                ):
-                    for group, fn in zip(level, self._fns[level_index]):
-                        out_o, out_z = fn(ones, zeros, group)
-                        ones[group.out_idx] = out_o
-                        zeros[group.out_idx] = out_z
+        for level_index, level in enumerate(self.plan.levels):
+            with _trace.span(
+                "kernel.level_group", level=level_index, groups=len(level),
+                cells=sum(group.cells for group in level),
+            ):
+                for group, fn in zip(level, self._fns[level_index]):
+                    out_o, out_z = fn(ones, zeros, group)
+                    ones[group.out_idx] = out_o
+                    zeros[group.out_idx] = out_z
 
 
-# ---------------------------------------------------------------------------
-# Per-program memoization (shared across backend instances executing the
-# same CompiledProgram object, e.g. serving sessions).
-# ---------------------------------------------------------------------------
-
-#: ``id(program) -> (weakref, {"plan": ..., (kind, mode): FusedKernel})``.
-_PROGRAM_MEMO: Dict[int, Tuple[weakref.ref, dict]] = {}
+#: ``id(program) -> (weakref, FusedKernel)``, shared across backend
+#: instances executing the same CompiledProgram object (e.g. serving
+#: sessions).
+_PROGRAM_MEMO: Dict[int, Tuple[weakref.ref, FusedKernel]] = {}
 
 
-def _memo_for(program) -> dict:
-    """The kernel memo slot of *program* (identity-keyed, weakly held)."""
+def fused_kernel(program) -> FusedKernel:
+    """The grouped kernel of *program*, built on first request.
+
+    Kernels are memoized per program instance (identity-keyed, weakly
+    held), so every backend or session built on one cached program shares
+    one plan.
+    """
     key = id(program)
     entry = _PROGRAM_MEMO.get(key)
     if entry is not None and entry[0]() is program:
         return entry[1]
-    slot: dict = {}
+    kernel = FusedKernel(program)
     ref = weakref.ref(program, lambda _r, _k=key: _PROGRAM_MEMO.pop(_k, None))
-    _PROGRAM_MEMO[key] = (ref, slot)
-    return slot
-
-
-def _plan_for(program) -> GroupedPlan:
-    """The (memoized) grouped plan of *program*."""
-    slot = _memo_for(program)
-    plan = slot.get("plan")
-    if plan is None:
-        plan = slot["plan"] = build_grouped_plan(program)
-    return plan
-
-
-def fused_kernel(program, kind: str, fused=None, store=None) -> Optional[FusedKernel]:
-    """The fused kernel for *program* on backend *kind*, or ``None`` when off.
-
-    This is the backends' one entry point: *fused* is the constructor
-    argument (``None`` defers to :data:`FUSED_ENV_VAR`), *store* an
-    optional :class:`~repro.sim.program_cache.ProgramCache` that generated
-    kernel source is loaded from / stored into in codegen mode.  Kernels
-    are memoized per program instance, so every backend or session built
-    on one cached program shares the plan and (codegen) function.
-    """
-    mode = resolve_fused_mode(fused)
-    if mode == MODE_OFF:
-        return None
-    slot = _memo_for(program)
-    kernel = slot.get((kind, mode))
-    if kernel is None:
-        kernel = slot[(kind, mode)] = FusedKernel(program, kind, mode, store=store)
+    _PROGRAM_MEMO[key] = (ref, kernel)
     return kernel

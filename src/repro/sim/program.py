@@ -1,8 +1,8 @@
 """The single compiled IR every levelized consumer executes.
 
 Before this module existed, each vectorized backend instance re-walked the
-netlist through ``base.compile_levelized_ops``, the timed engine resolved
-per-cell delays on its own, and worker processes (``run_parallel`` chunks,
+netlist on construction, the timed engine resolved per-cell delays on its
+own, and worker processes (``run_parallel`` chunks,
 serving pools) repeated all of it per process.  :func:`compile_program`
 factors that work into one **serializable, backend-neutral artifact**:
 
@@ -15,11 +15,12 @@ factors that work into one **serializable, backend-neutral artifact**:
     :func:`repro.sim.sta.cell_output_delay`), the library fingerprint it
     was characterised against, and a compiler version stamp.
 
-The artifact is deliberately free of callables: backends bind their own
-evaluator (``fn``) tables lazily from the cell-type tags
-(:func:`repro.sim.backends.base.bind_cell_ops`), so one program — possibly
-loaded from the on-disk :mod:`repro.sim.program_cache` — serves the batch,
-bitpack and timed engines alike, and round-trips exactly through JSON
+The artifact is deliberately free of callables: engines bind their own
+evaluators from the cell-type tags, per cell
+(:func:`repro.sim.backends.base.bind_cell_ops`) or per group of same-shaped
+cells (:func:`repro.sim.kernels.build_grouped_plan`).  One program, possibly
+loaded from the on-disk :mod:`repro.sim.program_cache`, therefore serves the
+batch, bitpack and timed engines alike, and round-trips exactly through JSON
 (:meth:`CompiledProgram.to_dict` / :meth:`CompiledProgram.from_dict`).
 
 Content addressing

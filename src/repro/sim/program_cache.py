@@ -220,68 +220,8 @@ class ProgramCache:
             self.put(program, key=key)
         return program
 
-    # ------------------------------------------------- generated kernels
-    def kernel_source_path(self, program_hash: str, backend_name: str,
-                           version: Optional[int] = None) -> Path:
-        """Path of the generated-kernel source for ``(program, backend)``.
-
-        Kernel sources live next to the program entries but under a ``.py``
-        suffix, keyed by the *program hash* (not the cache key: the kernel
-        depends only on the op layout, which the program hash covers) plus
-        the backend name and the codegen version stamp — bumping
-        :data:`~repro.sim.kernels.KERNEL_CODEGEN_VERSION` orphans stale
-        sources instead of executing them.
-        """
-        if version is None:
-            from .kernels import KERNEL_CODEGEN_VERSION as version
-        return self.directory / f"{program_hash}.{backend_name}.kernel-v{version}.py"
-
-    def load_kernel_source(self, program_hash: str, backend_name: str,
-                           version: Optional[int] = None) -> Optional[str]:
-        """The stored generated-kernel source, or ``None`` on a miss.
-
-        Unreadable or mislabeled files (the header line must name the same
-        program hash) are deleted and treated as misses, mirroring the
-        self-healing program entries.
-        """
-        path = self.kernel_source_path(program_hash, backend_name, version)
-        try:
-            source = path.read_text()
-        except OSError:
-            return None
-        header = source.splitlines()[0] if source else ""
-        if program_hash not in header:
-            self.corrupt += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return source
-
-    def store_kernel_source(self, program_hash: str, backend_name: str,
-                            source: str, version: Optional[int] = None) -> Path:
-        """Persist generated-kernel *source* (atomically) and return its path."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.kernel_source_path(program_hash, backend_name, version)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.directory), suffix=".tmp",
-            prefix=f".{program_hash[:16]}-",
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(source)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
-
     def __len__(self) -> int:
-        """Number of program entries currently on disk (kernel sources excluded)."""
+        """Number of program entries (``*.json`` files) currently on disk."""
         if not self.directory.exists():
             return 0
         return sum(1 for _ in self.directory.glob(f"*{_CACHE_SUFFIX}"))

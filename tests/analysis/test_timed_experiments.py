@@ -166,6 +166,30 @@ def test_timed_path_raises_on_output_stuck_at_spacer(umc):
     _check_output_protocol(circuit, timed_ok)
 
 
+@pytest.mark.parametrize("timing_backend", ["batch", "bitpack"])
+def test_timed_run_builds_no_grouped_plan(workload, umc, monkeypatch, timing_backend):
+    """The timed engine never runs the grouped kernel, so it never builds one.
+
+    Each DSE point times its stream through a freshly constructed backend;
+    a plan built there would be thrown away unused.
+    """
+    from repro.analysis.measure import build_mapped_dual_rail, timed_dual_rail_run
+    from repro.sim import kernels
+
+    built = []
+    original = kernels.build_grouped_plan
+
+    def counting(program):
+        built.append(program)
+        return original(program)
+
+    monkeypatch.setattr(kernels, "build_grouped_plan", counting)
+    mapped = build_mapped_dual_rail(workload.config, umc)
+    run = timed_dual_rail_run(mapped, workload, timing_backend=timing_backend)
+    assert len(run.results) == workload.num_operands
+    assert built == []
+
+
 def test_unknown_timing_backend_is_rejected(workload, umc):
     with pytest.raises(ValueError):
         measure_dual_rail(workload, umc, timing_backend="sta")

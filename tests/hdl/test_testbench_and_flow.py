@@ -15,11 +15,13 @@ from repro.circuits.netlist import Cell
 from repro.circuits.validate import check_connectivity
 from repro.datapath.datapath import DatapathConfig, DualRailDatapath
 from repro.hdl import emit_verilog, export_netlist, generate_datapath_testbench, generate_testbench
+from repro.hdl.primitives import emit_primitives
 from repro.synth.flow import HdlExportOptions, synthesize
 from repro.synth.reports import area_report, leakage_report
 from repro.tm.inference import InferenceModel
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_half_adder.v")
+GOLDEN_PRIMITIVES = os.path.join(os.path.dirname(__file__), "golden_primitives.v")
 
 
 class TestGenericTestbench:
@@ -155,6 +157,12 @@ class TestGoldenFileStability:
         with open(GOLDEN, encoding="utf-8") as handle:
             golden = handle.read()
         assert emit_verilog(half_adder_netlist()) == golden
+
+    def test_primitives_match_checked_in_golden_file(self):
+        """Every registry cell's behavioral model, byte for byte."""
+        with open(GOLDEN_PRIMITIVES, encoding="utf-8") as handle:
+            golden = handle.read()
+        assert emit_primitives() == golden
 
     def test_export_bundle_is_deterministic(self):
         first = export_netlist(popcount_netlist(3), testbench_vectors=4,

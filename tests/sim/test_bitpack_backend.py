@@ -15,9 +15,11 @@ import pytest
 
 from repro.analysis import random_workload, run_parallel, workload_input_planes
 from repro.analysis.measure import spacer_assignments
+from repro.circuits.netlist import Netlist
 from repro.datapath.datapath import DualRailDatapath
+from repro.sim import compile_program
 from repro.sim.backends import BackendError, BatchBackend, BitpackBackend
-from repro.sim.backends.bitpack import pack_bits, popcount, unpack_bits, words_for
+from repro.sim.backends.bitpack import unpack_bits, words_for
 
 
 def _workload_setup(num_operands, seed=17, num_features=3, clauses_per_polarity=4):
@@ -35,23 +37,38 @@ def _workload_setup(num_operands, seed=17, num_features=3, clauses_per_polarity=
 # ----------------------------------------------------------------- packing
 
 
+def _packed_wire(bits):
+    """The packed planes of *bits* after the pack stage (input wired to output)."""
+    net = Netlist("wire")
+    net.add_input("a")
+    net.add_output("a")
+    result = BitpackBackend(program=compile_program(net)).run_arrays({"a": bits})
+    return result.packed["a"]
+
+
+def _set_bits(words):
+    return int(np.unpackbits(words.view(np.uint8)).sum())
+
+
 @pytest.mark.parametrize("samples", [0, 1, 63, 64, 65, 130, 1000])
 def test_pack_unpack_roundtrip(samples):
+    """The pack stage lays lanes out LSB-first; unpack_bits inverts it."""
     rng = np.random.default_rng(samples)
     bits = (rng.random(samples) < 0.5).astype(np.uint8)
-    words = pack_bits(bits, samples)
-    assert words.dtype == np.uint64
-    assert len(words) == words_for(samples)
-    assert np.array_equal(unpack_bits(words, samples), bits)
-    assert popcount(words) == int(bits.sum())
+    ones, zeros = _packed_wire(bits)
+    assert ones.dtype == np.uint64
+    assert len(ones) == words_for(samples)
+    assert np.array_equal(unpack_bits(ones, samples), bits)
+    assert np.array_equal(unpack_bits(zeros, samples), 1 - bits)
+    assert _set_bits(ones) == int(bits.sum())
 
 
 def test_pack_tail_lanes_stay_clear():
     """Lanes past the sample count never acquire bits (the masked tail)."""
-    bits = np.ones(65, dtype=np.uint8)
-    words = pack_bits(bits, 65)
-    assert popcount(words) == 65  # not 128: tail lanes of word 1 are clear
-    full = np.unpackbits(words.view(np.uint8), bitorder="little")
+    ones, zeros = _packed_wire(np.ones(65, dtype=np.uint8))
+    assert _set_bits(ones) == 65  # not 128: tail lanes of word 1 are clear
+    assert _set_bits(zeros) == 0
+    full = np.unpackbits(ones.view(np.uint8), bitorder="little")
     assert not full[65:].any()
 
 

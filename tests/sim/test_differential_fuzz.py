@@ -1,12 +1,12 @@
 """Cross-backend differential fuzzing over randomized mapped netlists.
 
-The contract this suite enforces mechanically: the fused grouped/codegen
-kernel engine (:mod:`repro.sim.kernels`) is **bit-identical** to the looped
-per-cell interpreter — settled net values *and* switching-activity counts —
-for both vectorized encodings, and both agree with the event-driven
-reference on settled values.  (Event-simulator activity is glitch-inclusive
-by design, so transition counts are cross-checked between the vectorized
-paths only; see :meth:`repro.sim.backends.event.EventBackend.run_batch`.)
+The contract this suite enforces mechanically: the bitpack backend's
+grouped kernel engine (:mod:`repro.sim.kernels`) is **bit-identical** to the
+batch backend's looped reference interpreter — settled net values *and*
+switching-activity counts — and both agree with the event-driven reference
+on settled values.  (Event-simulator activity is glitch-inclusive by
+design, so transition counts are cross-checked between the vectorized
+engines only; see :meth:`repro.sim.backends.event.EventBackend.run_batch`.)
 
 Each seed deterministically derives a datapath shape (width, clause count,
 completion scheme, gate style, library, mapped or structural netlist) and a
@@ -90,103 +90,73 @@ def _context(seed, program, detail):
     )
 
 
-@pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fused_paths_bit_identical_across_batch_shapes(seed):
-    """Looped vs grouped vs codegen: values and activity, every lane shape."""
-    rng, circuit, library = _fuzz_case(seed)
+def _engines(circuit, library):
+    """The reference and the fast engine, both on one compiled program."""
     netlist = circuit.netlist
     program = compile_program(netlist, library)
+    return (
+        program,
+        BatchBackend(netlist, library, program=program),
+        BitpackBackend(netlist, library, program=program),
+    )
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fused_paths_bit_identical_across_batch_shapes(seed):
+    """Bitpack vs the batch reference: values and activity, every lane shape."""
+    rng, circuit, library = _fuzz_case(seed)
+    program, reference_engine, bitpack = _engines(circuit, library)
     spacer = spacer_assignments(circuit)
-    backends = {
-        ("batch", mode): BatchBackend(netlist, library, program=program, fused=mode)
-        for mode in ("off", "grouped", "codegen")
-    }
-    backends.update({
-        ("bitpack", mode): BitpackBackend(
-            netlist, library, program=program, fused=mode
-        )
-        for mode in ("off", "grouped", "codegen")
-    })
     for samples in BATCH_SIZES:
         stimulus = _random_stimulus(rng, circuit, samples)
-        reference = backends[("batch", "off")].run_arrays(
-            stimulus, baseline=spacer
+        reference = reference_engine.run_arrays(stimulus, baseline=spacer)
+        result = bitpack.run_arrays(stimulus, baseline=spacer)
+        assert result.samples == reference.samples == samples, _context(
+            seed, program, f"samples at {samples}"
         )
-        ref_values = {net: reference.values[net] for net in program.nets}
-        for (kind, mode), backend in backends.items():
-            if (kind, mode) == ("batch", "off"):
-                continue
-            result = backend.run_arrays(stimulus, baseline=spacer)
-            assert result.samples == samples, _context(
-                seed, program, f"{kind}/{mode} samples at {samples}"
+        for net in program.nets:
+            assert np.array_equal(reference.values[net], result.values[net]), (
+                _context(seed, program, f"values of {net!r} at {samples} samples")
             )
-            for net in program.nets:
-                assert np.array_equal(ref_values[net], result.values[net]), (
-                    _context(
-                        seed, program,
-                        f"{kind}/{mode} values of {net!r} at {samples} samples",
-                    )
-                )
-            assert result.activity_by_cell == reference.activity_by_cell, (
-                _context(
-                    seed, program,
-                    f"{kind}/{mode} per-cell activity at {samples} samples",
-                )
-            )
-            assert (
-                result.activity_by_cell_type == reference.activity_by_cell_type
-            ), _context(
-                seed, program,
-                f"{kind}/{mode} per-type activity at {samples} samples",
-            )
+        assert result.activity_by_cell == reference.activity_by_cell, _context(
+            seed, program, f"per-cell activity at {samples} samples"
+        )
+        assert (
+            result.activity_by_cell_type == reference.activity_by_cell_type
+        ), _context(seed, program, f"per-type activity at {samples} samples")
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_all_spacer_rest_word_identical(seed):
-    """The all-spacer stimulus settles identically on every engine."""
+    """The all-spacer stimulus settles identically on both engines."""
     _, circuit, library = _fuzz_case(seed)
-    netlist = circuit.netlist
-    program = compile_program(netlist, library)
+    program, reference_engine, bitpack = _engines(circuit, library)
     spacer = spacer_assignments(circuit)
-    reference = BatchBackend(
-        netlist, library, program=program, fused="off"
-    ).run_arrays(spacer)
-    for kind, mode in (
-        ("batch", "grouped"), ("batch", "codegen"),
-        ("bitpack", "off"), ("bitpack", "grouped"), ("bitpack", "codegen"),
-    ):
-        cls = BatchBackend if kind == "batch" else BitpackBackend
-        result = cls(netlist, library, program=program, fused=mode).run_arrays(
-            spacer
+    reference = reference_engine.run_arrays(spacer, baseline=spacer)
+    result = bitpack.run_arrays(spacer, baseline=spacer)
+    for net in program.nets:
+        assert np.array_equal(reference.values[net], result.values[net]), (
+            _context(seed, program, f"spacer value of {net!r}")
         )
-        for net in program.nets:
-            assert np.array_equal(reference.values[net], result.values[net]), (
-                _context(seed, program, f"{kind}/{mode} spacer value of {net!r}")
-            )
+    # Rest against rest: nothing toggles on either engine.
+    assert result.activity_by_cell == reference.activity_by_cell == {}
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS[:2])
 def test_event_reference_agrees_on_settled_values(seed):
-    """Every engine's settled values match the event-driven simulator.
+    """Both engines' settled values match the event-driven simulator.
 
     The event reference settles one sample at a time, so only a small
     X-laden sample subset is replayed through it.
     """
     rng, circuit, library = _fuzz_case(seed)
-    netlist = circuit.netlist
-    program = compile_program(netlist, library)
-    event = EventBackend(netlist, library)
+    program, reference_engine, bitpack = _engines(circuit, library)
+    event = EventBackend(circuit.netlist, library)
     stimulus = _random_stimulus(rng, circuit, 3)
     for k in range(3):
         assignments = {net: int(plane[k]) for net, plane in stimulus.items()}
         expected = event.evaluate(assignments)
-        for kind, mode in (
-            ("batch", "off"), ("batch", "grouped"), ("batch", "codegen"),
-            ("bitpack", "off"), ("bitpack", "grouped"), ("bitpack", "codegen"),
-        ):
-            cls = BatchBackend if kind == "batch" else BitpackBackend
-            backend = cls(netlist, library, program=program, fused=mode)
-            got = backend.evaluate(assignments)
-            assert got == expected, _context(
-                seed, program, f"event vs {kind}/{mode} on sample {k}"
+        for engine in (reference_engine, bitpack):
+            assert engine.evaluate(assignments) == expected, _context(
+                seed, program, f"event vs {engine.name} on sample {k}"
             )

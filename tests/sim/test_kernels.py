@@ -1,10 +1,10 @@
-"""Unit tests for the fused grouped-kernel engine (:mod:`repro.sim.kernels`).
+"""Unit tests for the grouped-kernel engine (:mod:`repro.sim.kernels`).
 
 The differential fuzz suite proves bit-identity on real datapath netlists;
 this file covers what those netlists never reach: the full dispatch
 vocabulary (MAJ3, XOR2/XNOR2 and the AOI/OAI/AO/OA complex gates), the
-mode-resolution and error surfaces, the bulk stimulus pack's edge inputs,
-the rest-state memo key, and the codegen tier's on-disk source cache.
+error surfaces, the bulk stimulus pack's edge inputs, the rest-state memo
+key, and when the kernel is built.
 """
 
 from __future__ import annotations
@@ -13,21 +13,11 @@ import numpy as np
 import pytest
 
 from repro.circuits.netlist import Netlist
-from repro.sim import compile_program
+from repro.sim import compile_program, kernels
 from repro.sim.backends import BackendError
 from repro.sim.backends.batch import BatchBackend
 from repro.sim.backends.bitpack import BitpackBackend
-from repro.sim.kernels import (
-    FUSED_ENV_VAR,
-    KERNEL_CODEGEN_VERSION,
-    FusedKernel,
-    baseline_memo_key,
-    build_grouped_plan,
-    bulk_stimulus_matrix,
-    generate_kernel_source,
-    resolve_fused_mode,
-)
-from repro.sim.program_cache import ProgramCache
+from repro.sim.kernels import baseline_memo_key, build_grouped_plan, bulk_stimulus_matrix
 
 
 def _all_tags_netlist() -> Netlist:
@@ -59,7 +49,7 @@ def _all_tags_netlist() -> Netlist:
         "OA22", {"A1": "a", "A2": "b", "B1": "a", "B2": "c"}, {"Y": "n_oa"},
         name="g_oa",
     )
-    # A second level, so the per-level sweep and codegen level spans run.
+    # A second level, so the per-level sweep runs more than once.
     net.add_cell("INV", {"A": "n_and"}, {"Y": "n_and_n"}, name="g_inv2")
     for name in net.nets:
         if name not in ("a", "b", "c"):
@@ -73,10 +63,12 @@ def all_tags_program():
 
 
 @pytest.mark.parametrize("samples", [5, 130])
-@pytest.mark.parametrize("mode", ["grouped", "codegen"])
-@pytest.mark.parametrize("cls", [BatchBackend, BitpackBackend])
-def test_every_dispatch_tag_matches_looped(all_tags_program, cls, mode, samples):
-    """Fused engines agree with the looped path on every cell shape."""
+def test_every_dispatch_tag_matches_looped(all_tags_program, samples):
+    """The grouped bitpack engine agrees with the looped batch reference.
+
+    Covers every cell shape at one partial word (5 samples) and across a
+    ragged word boundary (130 samples).
+    """
     program = all_tags_program
     rng = np.random.default_rng(7)
     stimulus = {
@@ -86,40 +78,16 @@ def test_every_dispatch_tag_matches_looped(all_tags_program, cls, mode, samples)
         # evaluators' known-masks, not just the Boolean fast paths.
     }
     baseline = {"a": 0, "b": 0, "c": 0}
-    looped = cls(program=program, fused="off").run_arrays(stimulus, baseline=baseline)
-    fused = cls(program=program, fused=mode).run_arrays(stimulus, baseline=baseline)
+    looped = BatchBackend(program=program).run_arrays(stimulus, baseline=baseline)
+    grouped = BitpackBackend(program=program).run_arrays(stimulus, baseline=baseline)
     for net in program.nets:
-        assert np.array_equal(looped.values[net], fused.values[net]), net
-    assert fused.activity_by_cell == looped.activity_by_cell
-    assert fused.activity_by_cell_type == looped.activity_by_cell_type
-    # The plane views quack like the dict the looped path returns.
-    assert set(fused.values) == set(looped.values)
-    assert len(fused.values) == len(looped.values)
-    assert "n_maj" in fused.values and "nope" not in fused.values
-
-
-def test_resolve_fused_mode_arguments_and_env(monkeypatch):
-    assert resolve_fused_mode(True) == "grouped"
-    assert resolve_fused_mode(False) == "off"
-    assert resolve_fused_mode("CODEGEN") == "codegen"
-    monkeypatch.delenv(FUSED_ENV_VAR, raising=False)
-    assert resolve_fused_mode(None) == "grouped"
-    monkeypatch.setenv(FUSED_ENV_VAR, "off")
-    assert resolve_fused_mode(None) == "off"
-    monkeypatch.setenv(FUSED_ENV_VAR, "  ")
-    assert resolve_fused_mode(None) == "grouped"
-    with pytest.raises(BackendError, match="unrecognized fused-kernel mode"):
-        resolve_fused_mode("turbo")
-
-
-def test_unknown_kind_and_mode_are_rejected(all_tags_program):
-    plan = build_grouped_plan(all_tags_program)
-    with pytest.raises(BackendError, match="backend kind"):
-        generate_kernel_source(plan, "simd")
-    with pytest.raises(BackendError, match="backend kind"):
-        FusedKernel(all_tags_program, "simd", "grouped")
-    with pytest.raises(BackendError, match="cannot run in mode"):
-        FusedKernel(all_tags_program, "batch", "off")
+        assert np.array_equal(looped.values[net], grouped.values[net]), net
+    assert grouped.activity_by_cell == looped.activity_by_cell
+    assert grouped.activity_by_cell_type == looped.activity_by_cell_type
+    # The plane view quacks like the dict the looped path returns.
+    assert set(grouped.values) == set(looped.values)
+    assert len(grouped.values) == len(looped.values)
+    assert "n_maj" in grouped.values and "nope" not in grouped.values
 
 
 def test_unvectorizable_cell_type_is_rejected():
@@ -136,33 +104,35 @@ def test_unvectorizable_cell_type_is_rejected():
         build_grouped_plan(CompiledProgram.from_dict(record))
 
 
-def test_cell_free_program_generates_pass_kernel():
+def test_cell_free_program_runs_on_both_engines():
+    """A program with no ops has an empty plan and passes inputs through."""
     net = Netlist("wires-only")
     net.add_input("a")
     net.add_output("a")
     program = compile_program(net)
-    source = generate_kernel_source(build_grouped_plan(program), "batch")
-    assert "pass" in source
-    result = BatchBackend(program=program, fused="codegen").run_arrays(
-        {"a": np.asarray([1, 0, 1], dtype=np.uint8)}
-    )
-    assert result.values["a"].tolist() == [1, 0, 1]
+    assert build_grouped_plan(program).levels == ()
+    stimulus = {"a": np.asarray([1, 0, 1], dtype=np.uint8)}
+    for cls in (BatchBackend, BitpackBackend):
+        result = cls(program=program).run_arrays(stimulus)
+        assert result.values["a"].tolist() == [1, 0, 1]
 
 
 def test_bulk_stimulus_matrix_edge_inputs(all_tags_program):
     net_index = build_grouped_plan(all_tags_program).net_index
     # 0-d arrays and Python lists are both valid plane spellings.
     rows, stacked, samples = bulk_stimulus_matrix(
-        {"a": np.uint8(1), "b": [0, 1, 0], "c": 0}, net_index
+        {"a": np.uint8(1), "b": [0, 1, 0], "c": 0}, net_index, lane_align=64
     )
     assert samples == 3
-    assert stacked[list(rows).index(net_index["b"])].tolist() == [0, 1, 0]
+    assert stacked.shape == (3, 64)
+    assert stacked[list(rows).index(net_index["b"])][:samples].tolist() == [0, 1, 0]
+    assert not stacked[:, samples:].any()  # word padding packs to clear bits
     with pytest.raises(KeyError, match="unknown net"):
-        bulk_stimulus_matrix({"zz": 1}, net_index)
+        bulk_stimulus_matrix({"zz": 1}, net_index, lane_align=64)
     with pytest.raises(BackendError, match="inconsistent batch sizes"):
-        bulk_stimulus_matrix({"a": [0, 1], "b": [0, 1, 0]}, net_index)
+        bulk_stimulus_matrix({"a": [0, 1], "b": [0, 1, 0]}, net_index, lane_align=64)
     with pytest.raises(BackendError, match="non-Boolean"):
-        bulk_stimulus_matrix({"a": [0, 2]}, net_index)
+        bulk_stimulus_matrix({"a": [0, 2]}, net_index, lane_align=64)
 
 
 def test_baseline_memo_key_hashable_or_none():
@@ -173,25 +143,21 @@ def test_baseline_memo_key_hashable_or_none():
     assert baseline_memo_key({"a": float("nan")}) is None
 
 
-def test_codegen_source_round_trips_through_program_cache(tmp_path, all_tags_program):
-    program = all_tags_program
-    store = ProgramCache(tmp_path)
-    cold = FusedKernel(program, "bitpack", "codegen", store=store)
-    path = store.kernel_source_path(
-        program.program_hash, "bitpack", version=KERNEL_CODEGEN_VERSION
-    )
-    assert path.exists()
-    assert store.load_kernel_source(
-        program.program_hash, "bitpack", version=KERNEL_CODEGEN_VERSION
-    ) == cold.source
-    warm = FusedKernel(program, "bitpack", "codegen", store=store)
-    assert warm.source == cold.source
-    looped = BitpackBackend(program=program, fused="off")
-    cached = BitpackBackend(
-        program=program, fused="codegen", kernel_store=store
-    )
-    stimulus = {"a": np.asarray([1, 0, 1, 1], dtype=np.uint8), "b": 1, "c": 0}
-    a = looped.run_arrays(stimulus)
-    b = cached.run_arrays(stimulus)
-    for net in program.nets:
-        assert np.array_equal(a.values[net], b.values[net]), net
+def test_kernel_is_built_on_first_run_arrays_not_in_the_constructor(monkeypatch):
+    """Construction builds no plan; the first functional call builds one,
+    which every later backend on the same program object shares."""
+    program = compile_program(_all_tags_netlist())
+    calls = []
+    original = kernels.build_grouped_plan
+
+    def counting(prog):
+        calls.append(prog)
+        return original(prog)
+
+    monkeypatch.setattr(kernels, "build_grouped_plan", counting)
+    backend = BitpackBackend(program=program)
+    assert calls == []
+    backend.run_arrays({"a": 1, "b": 0})
+    backend.run_arrays({"a": 0, "b": 1})
+    BitpackBackend(program=program).run_arrays({"a": 1})
+    assert calls == [program]

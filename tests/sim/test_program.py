@@ -3,15 +3,12 @@
 The load-bearing properties: ``compile_program`` is the one compile entry
 point every vectorized backend executes; the artifact is backend-neutral,
 serializes exactly (JSON and pickle), and a backend built from a program is
-bit-identical to one built from the netlist it came from.  The legacy
-``compile_levelized_ops`` entry point survives as a deprecation shim that
-routes through the same compiler.
+bit-identical to one built from the netlist it came from.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +17,6 @@ from repro.analysis import random_workload
 from repro.circuits.library import library_fingerprint
 from repro.datapath.datapath import DualRailDatapath
 from repro.sim.backends import BackendError, get_backend
-from repro.sim.backends.base import bind_cell_ops, compile_levelized_ops
-from repro.sim.backends.batch import _compile_cell_type as _batch_compile
 from repro.sim.program import (
     PROGRAM_COMPILER_VERSION,
     CompiledProgram,
@@ -181,27 +176,6 @@ def test_program_built_timed_engine_bit_identical(datapath, workload, umc, name)
     rails = datapath.circuit.all_output_rails()
     assert list(a.max_arrival(rails, "valid")) == list(b.max_arrival(rails, "valid"))
     assert list(a.energy_per_sample_fj) == list(b.energy_per_sample_fj)
-
-
-def test_compile_levelized_ops_is_a_deprecated_shim(datapath, umc):
-    netlist = datapath.circuit.netlist
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        constants, ops = compile_levelized_ops(netlist, _batch_compile, "batch")
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, "the shim must warn exactly once per call"
-    message = str(deprecations[0].message)
-    # The warning must name the replacement APIs, not just say "deprecated".
-    assert "compile_program" in message
-    assert "bind_cell_ops" in message
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the modern path must not warn
-        program = compile_program(netlist)
-    bound = bind_cell_ops(program, _batch_compile)
-    assert constants == list(program.constants)
-    assert [(op.cell_name, op.cell_type, op.in_nets, op.out_net) for op in ops] == [
-        (op.cell_name, op.cell_type, op.in_nets, op.out_net) for op in bound
-    ]
 
 
 def test_compile_program_emits_the_compile_span(datapath, umc):

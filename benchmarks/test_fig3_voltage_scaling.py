@@ -35,7 +35,6 @@ def test_figure3_voltage_sweep(benchmark, small_workload, full_diffusion):
             "voltages": SWEEP_VOLTAGES,
             "library": full_diffusion,
             "operands_per_point": 4,
-            "backend": "batch",
             "jobs": SWEEP_JOBS,
         },
         rounds=1,

@@ -29,10 +29,7 @@ from repro.analysis import (
 
 def _rows_for_library(workload, library):
     single = measure_single_rail(workload, library)
-    # backend="batch": verdicts/correctness come from the vectorized batch
-    # backend, timing quantities from the event simulation — numerically
-    # identical to the all-event path (asserted by the equivalence tests).
-    dual = measure_dual_rail(workload, library, backend="batch")
+    dual = measure_dual_rail(workload, library)
     return single, dual
 
 

@@ -40,12 +40,12 @@ import sys
 import time
 from pathlib import Path
 
+from repro.analysis import TIMING_BACKENDS
 from repro.explore import (
     DseWorker,
     FrontHistory,
     FrontView,
     ResultStore,
-    SWEEP_BACKENDS,
     format_front_csv,
     grid_names,
     named_grid,
@@ -80,12 +80,14 @@ def main(argv=None) -> int:
                         help="named parameter grid to expand (default: smoke)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel evaluation processes (results are jobs-invariant)")
-    parser.add_argument("--backend", default="batch", choices=SWEEP_BACKENDS,
-                        help="functional evaluation backend (default: batch)")
-    parser.add_argument("--timing-backend", default="event", choices=SWEEP_BACKENDS,
+    parser.add_argument("--backend", default="vectorized", choices=TIMING_BACKENDS,
+                        help="source of the functional axes: 'vectorized' (one "
+                             "pass over the full operand stream, the default) or "
+                             "'event' (event-simulate the full stream)")
+    parser.add_argument("--timing-backend", default="event", choices=TIMING_BACKENDS,
                         help="timing source for the latency/energy axes: 'event' "
                              "(per-operand event simulation, the oracle) or "
-                             "'batch'/'bitpack' (vectorized timing engine over "
+                             "'vectorized' (vectorized timing engine over "
                              "the full operand stream)")
     parser.add_argument("--store", default=".dse_store",
                         help="result-store directory; 'none' disables caching")

@@ -5,11 +5,10 @@ the data-dependent latency of the early-propagating comparator: operands
 whose positive/negative counts differ at a high-order bit finish earlier
 than operands that must be compared all the way down to the LSB.
 
-Run with:  python examples/latency_distribution.py [--timing-backend batch]
+Run with:  python examples/latency_distribution.py [--timing-backend vectorized]
            [--operands N]
 
-``--timing-backend batch`` (or ``bitpack``) measures the per-operand
-latencies through the vectorized data-dependent timing engine instead of
+``--timing-backend vectorized`` measures the per-operand latencies through the vectorized data-dependent timing engine instead of
 event-simulating every handshake — the lever that makes 10k-operand
 distribution studies practical (see docs/guides/timing-and-energy-model.md).
 """
@@ -36,7 +35,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--timing-backend", choices=TIMING_BACKENDS, default="event",
                         help="timing source for the per-operand latencies "
-                             "(batch/bitpack = vectorized timing engine)")
+                             "(vectorized = vectorized timing engine)")
     parser.add_argument("--operands", type=int, default=16,
                         help="operand-stream length to measure")
     parser.add_argument("--trace-out", default=None,

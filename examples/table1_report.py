@@ -6,16 +6,13 @@ FULL DIFFUSION library stand-ins, simulates them, and prints the Table-I
 columns (cell area, sequential area, average power, leakage, latencies,
 reset time, throughput).
 
-Run with:  python examples/table1_report.py [--backend batch]
-           [--timing-backend batch] [--jobs N]
+Run with:  python examples/table1_report.py [--timing-backend vectorized] [--jobs N]
 
 The four library × design measurements are independent work units, so
-``--jobs 4`` runs them concurrently.  ``--backend batch`` sources the
-dual-rail correctness figures from the vectorized batch backend (timing and
-power stay event-driven).  ``--timing-backend batch`` goes further: the
-dual-rail latency, power and throughput columns come from the vectorized
-data-dependent timing engine — the whole-table wall-clock lever — and match
-the event-driven run within float re-association accuracy (see
+``--jobs 4`` runs them concurrently.  ``--timing-backend vectorized`` takes
+the dual-rail latency, power and throughput columns from the vectorized
+data-dependent timing engine — the whole-table wall-clock lever — and they
+match the event-driven run within float re-association accuracy (see
 docs/guides/timing-and-energy-model.md).
 """
 
@@ -24,7 +21,6 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis import (
-    EXPERIMENT_BACKENDS,
     TIMING_BACKENDS,
     default_workload,
     format_table1,
@@ -34,19 +30,16 @@ from repro.analysis import (
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=EXPERIMENT_BACKENDS, default="event",
-                        help="simulation backend for dual-rail functional checks")
     parser.add_argument("--timing-backend", choices=TIMING_BACKENDS, default="event",
                         help="timing source for the dual-rail latency/power "
-                             "columns (batch/bitpack = vectorized timing engine)")
+                             "columns (vectorized = vectorized timing engine)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel measurements (0 = CPU count)")
     args = parser.parse_args()
 
     workload = default_workload(num_features=4, clauses_per_polarity=8, num_operands=10)
     print(f"Workload: {workload.description}\n")
-    rows, raw = run_table1(workload, backend=args.backend, jobs=args.jobs,
-                           timing_backend=args.timing_backend)
+    rows, raw = run_table1(workload, jobs=args.jobs, timing_backend=args.timing_backend)
     print(format_table1(rows))
 
     print("\nDerived comparisons:")

@@ -7,15 +7,14 @@ derived per voltage, it keeps working without modification across the whole
 range — only its latency scales with gate delay, exploding exponentially
 below ~0.6 V exactly as in the paper's Figure 3.
 
-Run with:  python examples/voltage_scaling_sweep.py [--backend batch]
-           [--timing-backend batch] [--jobs N]
+Run with:  python examples/voltage_scaling_sweep.py [--timing-backend vectorized]
+           [--jobs N]
 
-``--jobs N`` sweeps N voltage points in parallel.  ``--backend batch``
-sources the per-point correctness checks from the vectorized batch backend
-(latencies stay event-driven).  ``--timing-backend batch`` makes each point
-itself cheap: the latencies the figure plots come from the vectorized
-data-dependent timing engine, matching the event-driven sweep within float
-re-association accuracy (see docs/guides/timing-and-energy-model.md).
+``--jobs N`` sweeps N voltage points in parallel.
+``--timing-backend vectorized`` makes each point itself cheap: the
+latencies the figure plots come from the vectorized data-dependent timing
+engine, matching the event-driven sweep within float re-association
+accuracy (see docs/guides/timing-and-energy-model.md).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import argparse
 import math
 
 from repro.analysis import (
-    EXPERIMENT_BACKENDS,
     TIMING_BACKENDS,
     default_workload,
     format_figure3,
@@ -38,11 +36,9 @@ VOLTAGES = (0.25, 0.3, 0.35, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2)
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=EXPERIMENT_BACKENDS, default="event",
-                        help="simulation backend for the functional checks")
     parser.add_argument("--timing-backend", choices=TIMING_BACKENDS, default="event",
                         help="timing source for the plotted latencies "
-                             "(batch/bitpack = vectorized timing engine)")
+                             "(vectorized = vectorized timing engine)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel voltage points (0 = CPU count)")
     parser.add_argument("--trace-out", default=None,
@@ -53,13 +49,12 @@ def main() -> None:
     workload = default_workload(num_features=4, clauses_per_polarity=8, num_operands=6)
     print(f"Workload: {workload.description}")
     print(f"Library : {library.name} ({library.description})")
-    print(f"Runner  : backend={args.backend}, "
-          f"timing_backend={args.timing_backend}, jobs={args.jobs}\n")
+    print(f"Runner  : timing_backend={args.timing_backend}, jobs={args.jobs}\n")
 
     with tracing_session(args.trace_out):
         points = run_figure3(workload, voltages=VOLTAGES, library=library,
-                             operands_per_point=3, backend=args.backend,
-                             jobs=args.jobs, timing_backend=args.timing_backend)
+                             operands_per_point=3, jobs=args.jobs,
+                             timing_backend=args.timing_backend)
     if args.trace_out:
         print(f"Trace -> {args.trace_out}")
     print(format_figure3(points))

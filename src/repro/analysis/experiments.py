@@ -21,32 +21,22 @@ designs the same way:
 * :func:`default_workload` — a trained-Tsetlin-machine workload (noisy-XOR)
   with the exclude matrix and feature stream the experiments run on.
 
-Backends and parallelism
-------------------------
-The sweep harnesses accept ``backend=`` and ``jobs=`` arguments:
+Timing source and parallelism
+-----------------------------
+The dual-rail harnesses (:func:`measure_dual_rail`, :func:`run_table1`,
+:func:`run_figure3`, :func:`run_latency_distribution`) accept
+``timing_backend=`` and ``jobs=``:
 
-* ``backend="event"`` (default) is the seed behaviour: every quantity comes
-  from the timing-accurate event-driven simulation.
-* ``backend="batch"`` obtains the *functional* quantities (verdicts,
-  decisions, correctness) from the vectorized batch backend while all timing
-  quantities (latency, grace, power windows) still come from the event
-  simulation — so the numbers are identical to the event path, by
-  construction and by test.
-* ``backend="bitpack"`` does the same through the bit-packed 64-lane engine
-  (64 samples per ``uint64`` word) — the fastest functional path; results
-  are identical to both other backends.
+* ``timing_backend="event"`` (default) is the reference: every operand is
+  event-simulated, and every quantity comes from that simulation.
+* ``timing_backend="vectorized"`` times the whole stream in one levelized
+  pass of the data-dependent timing engine (:mod:`repro.sim.backends.timed`)
+  instead: per-operand latencies, reset times and energies equivalent to
+  the event oracle (see the timing-and-energy-model guide for the
+  tolerance contract) at one to three orders of magnitude less wall time.
 * ``jobs=N`` fans independent work units (voltage points, library×design
   measurements, operand chunks) out over :func:`repro.analysis.runner.run_parallel`;
   results are deterministic and identical for every ``jobs`` value.
-* ``timing_backend="batch"|"bitpack"`` (on :func:`measure_dual_rail`,
-  :func:`run_table1`, :func:`run_figure3`, :func:`run_latency_distribution`)
-  swaps the *timing* source: instead of event-simulating every operand, the
-  vectorized data-dependent timing engine (:mod:`repro.sim.backends.timed`)
-  times the whole stream in one levelized pass — per-operand latencies,
-  reset times and energies equivalent to the event oracle (see the
-  timing-and-energy-model guide for the tolerance contract) at batch-backend
-  throughput.  ``timing_backend="event"`` (default) keeps the seed
-  behaviour and remains the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -74,9 +64,9 @@ from .measure import (
     Workload,
     batch_functional_pass,
     build_mapped_dual_rail,
-    check_timing_backend,
     decode_verdict_planes,
     make_dual_rail_environment,
+    normalize_timing_backend,
     rebind_interface,
     resolve_libraries,
     resolve_library,
@@ -89,21 +79,6 @@ from .measure import (
 from .runner import run_parallel
 from .tables import Figure3Point, Table1Row
 from .throughput import dual_rail_throughput, synchronous_throughput
-
-#: Backends the experiment harnesses can schedule.  Deliberately a subset of
-#: :func:`repro.sim.backends.available_backends`: the harness must know which
-#: quantities each backend can produce (timing always stays event-driven), so
-#: a backend registered with the generic registry is not automatically usable
-#: here.
-EXPERIMENT_BACKENDS = ("event", "batch", "bitpack")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in EXPERIMENT_BACKENDS:
-        raise ValueError(
-            f"unknown experiment backend {backend!r}; expected one of {EXPERIMENT_BACKENDS}"
-        )
-
 
 @dataclass
 class DualRailMeasurement:
@@ -178,24 +153,17 @@ def measure_dual_rail(
     library: CellLibrary,
     vdd: Optional[float] = None,
     check_monotonic: bool = True,
-    backend: str = "event",
     timing_backend: str = "event",
     program_cache: Optional[str] = None,
 ) -> DualRailMeasurement:
     """Build, synthesise and simulate the dual-rail datapath on *workload*.
 
-    With ``backend="batch"`` or ``backend="bitpack"`` the verdicts and
-    correctness come from the selected vectorized backend (one pass over the
-    whole operand stream) while every timing quantity — latency, reset
-    times, grace period, power windows — still comes from the event-driven
-    simulation.
+    ``timing_backend`` selects where the measured quantities come from:
 
-    ``timing_backend`` selects where the timing quantities come from:
-
-    * ``"event"`` (default) — the seed behaviour: per-operand event-driven
-      handshake cycles, with the monotonicity and forbidden-state monitors
-      attached as requested;
-    * ``"batch"`` / ``"bitpack"`` — the vectorized data-dependent timing
+    * ``"event"`` (default) — per-operand event-driven handshake cycles,
+      with the monotonicity and forbidden-state monitors attached as
+      requested;
+    * ``"vectorized"`` — the vectorized data-dependent timing
       engine (:mod:`repro.sim.backends.timed`): the whole stream is timed
       in one levelized pass, producing per-operand latencies, reset times
       and energies equivalent to the event oracle (pinned by the
@@ -206,16 +174,14 @@ def measure_dual_rail(
       unate mapping, Requirement 2) and the measurement reports
       ``monotonic=True``; see the timing-and-energy-model guide.
 
-    ``program_cache`` (a directory path) routes backend construction through
-    the on-disk :class:`~repro.sim.program_cache.ProgramCache`, so repeated
-    measurements of the same design load the compiled program instead of
-    recompiling it.
+    ``program_cache`` (a directory path) routes the vectorized engine's
+    construction through the on-disk
+    :class:`~repro.sim.program_cache.ProgramCache`, so repeated measurements
+    of the same design load the compiled program instead of recompiling it.
     """
-    _check_backend(backend)
-    check_timing_backend(timing_backend)
-    if timing_backend != "event":
+    if normalize_timing_backend(timing_backend) == "vectorized":
         return _measure_dual_rail_timed(
-            workload, library, vdd, timing_backend, program_cache=program_cache
+            workload, library, vdd, program_cache=program_cache
         )
     mapped = build_mapped_dual_rail(workload.config, library, vdd=vdd)
     datapath, synthesis = mapped.datapath, mapped.synthesis
@@ -230,24 +196,11 @@ def measure_dual_rail(
     results = []
     correct = 0
     verdicts: List[str] = []
-    functional: Optional[FunctionalSweep] = None
-    if backend != "event":
-        # One vectorized pass answers every functional question; the event
-        # loop below is then purely for the timing quantities.  Activity and
-        # energy come from the event transition log here, so the vectorized
-        # pass skips its own (with_activity=False).
-        functional = batch_functional_pass(
-            datapath, circuit, workload, library, vdd=vdd,
-            with_activity=False, backend=backend, program_cache=program_cache,
-        )
-    for index, features in enumerate(workload.feature_vectors):
+    for features in workload.feature_vectors:
         assignments = datapath.operand_assignments(features, workload.exclude)
         result = environment.infer(assignments)
         results.append(result)
-        if functional is not None:
-            verdict = functional.verdicts[index]
-        else:
-            verdict = DualRailDatapath.decode_verdict(result.one_of_n_outputs)
+        verdict = DualRailDatapath.decode_verdict(result.one_of_n_outputs)
         verdicts.append(verdict)
         decision = DualRailDatapath.decision_from_verdict(verdict)
         if decision == workload.model.decision(features):
@@ -275,10 +228,9 @@ def _measure_dual_rail_timed(
     workload: Workload,
     library: CellLibrary,
     vdd: Optional[float],
-    timing_backend: str,
     program_cache: Optional[str] = None,
 ) -> DualRailMeasurement:
-    """The all-vectorized measurement path behind ``timing_backend != "event"``.
+    """The all-vectorized measurement path behind ``timing_backend="vectorized"``.
 
     One levelized timed pass produces every quantity the event loop would:
     per-operand latencies and reset times, the power window, switching
@@ -287,9 +239,7 @@ def _measure_dual_rail_timed(
     synthesis figures are identical by construction.
     """
     mapped = build_mapped_dual_rail(workload.config, library, vdd=vdd)
-    run = timed_dual_rail_run(
-        mapped, workload, timing_backend, program_cache=program_cache
-    )
+    run = timed_dual_rail_run(mapped, workload, program_cache=program_cache)
     verdicts = decode_verdict_planes(run.timed, verdict_signal(mapped.circuit))
     correct = sum(
         1
@@ -403,20 +353,17 @@ def single_rail_table_row(measurement: SingleRailMeasurement) -> Table1Row:
     )
 
 
-def _table1_worker(item: Tuple[Workload, CellLibrary, str, str, str]) -> object:
+def _table1_worker(item: Tuple[Workload, CellLibrary, str, str]) -> object:
     """Process-pool work unit of :func:`run_table1`: one library × design."""
-    workload, library, design, backend, timing_backend = item
+    workload, library, design, timing_backend = item
     if design == "single-rail":
         return measure_single_rail(workload, library)
-    return measure_dual_rail(
-        workload, library, backend=backend, timing_backend=timing_backend
-    )
+    return measure_dual_rail(workload, library, timing_backend=timing_backend)
 
 
 def run_table1(
     workload: Optional[Workload] = None,
     libraries: Optional[Sequence[CellLibrary]] = None,
-    backend: str = "event",
     jobs: int = 1,
     timing_backend: str = "event",
 ) -> Tuple[List[Table1Row], Dict[str, object]]:
@@ -425,28 +372,27 @@ def run_table1(
     Returns the table rows plus the raw measurement objects keyed by
     ``"<library>/<design>"`` for deeper inspection.  The four measurements
     are independent work units, so ``jobs=4`` runs them concurrently; the
-    single-rail baseline is clocked (flip-flops) and therefore always uses
-    the event backend regardless of *backend* or *timing_backend* (its
-    latency is the STA clock period by definition).
+    single-rail baseline is clocked (flip-flops) and therefore always
+    event-simulated regardless of *timing_backend* (its latency is the STA
+    clock period by definition).
 
-    ``timing_backend="batch"`` (or ``"bitpack"``) obtains the dual-rail
-    latency, power and throughput columns from the vectorized timing engine
-    instead of per-operand event simulation — the whole-table wall-clock
-    lever; values agree with the event run within float re-association
-    accuracy (documented in the timing-and-energy-model guide).
+    ``timing_backend="vectorized"`` obtains the dual-rail latency, power and
+    throughput columns from the vectorized timing engine instead of
+    per-operand event simulation — the whole-table wall-clock lever; values
+    agree with the event run within float re-association accuracy
+    (documented in the timing-and-energy-model guide).
     """
-    _check_backend(backend)
-    check_timing_backend(timing_backend)
+    timing_backend = normalize_timing_backend(timing_backend)
     workload = resolve_workload(workload)
     libs = resolve_libraries(libraries)
     items = []
     for library in libs:
-        items.append((workload, library, "single-rail", backend, timing_backend))
-        items.append((workload, library, "dual-rail", backend, timing_backend))
+        items.append((workload, library, "single-rail", timing_backend))
+        items.append((workload, library, "dual-rail", timing_backend))
     measurements = run_parallel(_table1_worker, items, jobs=jobs)
     rows: List[Table1Row] = []
     raw: Dict[str, object] = {}
-    for (workload, library, design, _backend, _timing), measurement in zip(
+    for (workload, library, design, _timing), measurement in zip(
         items, measurements
     ):
         if design == "single-rail":
@@ -458,16 +404,16 @@ def run_table1(
 
 
 def _figure3_worker(
-    item: Tuple[Workload, CellLibrary, float, str, str]
+    item: Tuple[Workload, CellLibrary, float, str]
 ) -> Figure3Point:
     """Process-pool work unit of :func:`run_figure3`: one voltage point."""
-    workload, library, vdd, backend, timing_backend = item
+    workload, library, vdd, timing_backend = item
     if not library.voltage_model.is_functional(vdd):
         return Figure3Point(vdd=vdd, avg_latency_ps=float("nan"),
                             max_latency_ps=float("nan"),
                             functional=False, correct=False)
     measurement = measure_dual_rail(
-        workload, library, vdd=vdd, check_monotonic=False, backend=backend,
+        workload, library, vdd=vdd, check_monotonic=False,
         timing_backend=timing_backend,
     )
     return Figure3Point(
@@ -484,7 +430,6 @@ def run_figure3(
     voltages: Sequence[float] = FIGURE3_VOLTAGES,
     library: Optional[CellLibrary] = None,
     operands_per_point: Optional[int] = None,
-    backend: str = "event",
     jobs: int = 1,
     timing_backend: str = "event",
 ) -> List[Figure3Point]:
@@ -495,24 +440,18 @@ def run_figure3(
     checked at each voltage (the paper's headline robustness claim).
 
     Every voltage point is an independent work unit: ``jobs=N`` sweeps N
-    supplies concurrently with identical results.  ``backend="batch"``
-    sources the per-point correctness check from the vectorized backend as
-    a live cross-check (latencies stay event-driven, so this knob does not
-    make a point cheaper).  ``timing_backend="batch"``/``"bitpack"`` is the
-    per-point wall-clock lever: the latencies the figure plots come from
-    the vectorized timing engine, one levelized pass per voltage point
-    instead of one event-driven handshake per operand, with sweep values
-    equal to the event run within float re-association accuracy.
+    supplies concurrently with identical results.
+    ``timing_backend="vectorized"`` is the per-point wall-clock lever: the
+    latencies the figure plots come from the vectorized timing engine, one
+    levelized pass per voltage point instead of one event-driven handshake
+    per operand, with sweep values equal to the event run within float
+    re-association accuracy.
     """
-    _check_backend(backend)
-    check_timing_backend(timing_backend)
+    timing_backend = normalize_timing_backend(timing_backend)
     workload = resolve_workload(workload, num_operands=12)
     library = resolve_library(library)
     sub_workload = truncate_workload(workload, operands_per_point)
-    items = [
-        (sub_workload, library, float(vdd), backend, timing_backend)
-        for vdd in voltages
-    ]
+    items = [(sub_workload, library, float(vdd), timing_backend) for vdd in voltages]
     return run_parallel(_figure3_worker, items, jobs=jobs)
 
 
@@ -523,17 +462,17 @@ def _latency_chunk_worker(
 
     Builds a private datapath + simulator (work units share nothing, so any
     chunking gives identical per-operand measurements: every inference
-    starts from the fully-settled spacer state).  Under a vectorized timing
-    backend the chunk is timed in one levelized pass instead of one
-    event-driven handshake per operand; with a *program_cache* directory the
-    chunk's compiled program is served from disk instead of recompiled.
+    starts from the fully-settled spacer state).  Under vectorized timing
+    the chunk is timed in one levelized pass instead of one event-driven
+    handshake per operand; with a *program_cache* directory the chunk's
+    compiled program is served from disk instead of recompiled.
     """
     workload, library, vdd, chunk_features, timing_backend, program_cache = item
     mapped = build_mapped_dual_rail(workload.config, library, vdd=vdd)
-    if timing_backend != "event":
+    if timing_backend == "vectorized":
         chunk_workload = replace(workload, feature_vectors=np.asarray(chunk_features))
         return timed_dual_rail_run(
-            mapped, chunk_workload, timing_backend, program_cache=program_cache
+            mapped, chunk_workload, program_cache=program_cache
         ).results
     bench = make_dual_rail_environment(mapped)
     results = []
@@ -573,7 +512,7 @@ def run_latency_distribution(
     never on *jobs* — so ``jobs=1`` and ``jobs=N`` return bit-identical
     measurements (operands land at the same absolute simulation times).
 
-    ``timing_backend="batch"``/``"bitpack"`` times each chunk in one
+    ``timing_backend="vectorized"`` times each chunk in one
     vectorized pass (the long-stream wall-clock lever: chunks still fan out
     over *jobs*, and within a chunk the per-operand cost collapses to array
     sweeps).  Relative per-operand quantities match the event oracle within
@@ -587,7 +526,7 @@ def run_latency_distribution(
     pre-warms the cache before fanning out, so a parallel run compiles each
     unique netlist exactly once instead of once per worker.
     """
-    check_timing_backend(timing_backend)
+    timing_backend = normalize_timing_backend(timing_backend)
     features = list(workload.feature_vectors)
     if not features:
         return []
@@ -597,7 +536,7 @@ def run_latency_distribution(
         np.asarray(features[start: start + chunk_size])
         for start in range(0, len(features), chunk_size)
     ]
-    if program_cache is not None and timing_backend != "event":
+    if program_cache is not None and timing_backend == "vectorized":
         # Pre-warm in the parent: compile (or load) once before the fan-out
         # so concurrent workers never race to compile the same program.
         from repro.sim.program_cache import ProgramCache

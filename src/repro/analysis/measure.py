@@ -44,6 +44,7 @@ from repro.datapath.datapath import (
 from repro.obs import trace as _trace
 from repro.sim.backends import (
     ArrayBatchResult,
+    BitpackBackend,
     PackedBatchResult,
     TimedBatchResult,
     get_backend,
@@ -494,22 +495,29 @@ def batch_functional_pass(
 # Vectorized timing (the data-dependent timing engine)
 # --------------------------------------------------------------------------
 
-#: Backends the experiment harnesses accept as a *timing* source.  ``"event"``
-#: is the reference (per-operand event-driven handshake cycles); ``"batch"``
-#: and ``"bitpack"`` time the whole operand stream through the vectorized
-#: :mod:`repro.sim.backends.timed` engine — equivalent per sample (the
-#: equivalence suite pins it against the event oracle) and one to three
-#: orders of magnitude faster.
-TIMING_BACKENDS = ("event", "batch", "bitpack")
+#: The two timing sources every harness accepts, and the DSE's two
+#: functional sources.  ``"event"`` is the reference: per-operand
+#: event-driven handshake cycles.  ``"vectorized"`` times the whole operand
+#: stream in one pass of the :mod:`repro.sim.backends.timed` engine, which
+#: matches the event oracle per sample (the equivalence suite pins it at
+#: rtol 1e-9) and runs one to three orders of magnitude faster.
+TIMING_BACKENDS = ("event", "vectorized")
 
 
-def check_timing_backend(timing_backend: str) -> None:
-    """Raise :class:`ValueError` for timing-backend names no harness accepts."""
-    if timing_backend not in TIMING_BACKENDS:
+def normalize_timing_backend(name: str) -> str:
+    """The canonical :data:`TIMING_BACKENDS` name for *name*.
+
+    ``"batch"`` and ``"bitpack"`` are accepted as spellings of
+    ``"vectorized"``: both once selected the same timed engine.  Every
+    other name raises :class:`ValueError`.
+    """
+    if name in ("batch", "bitpack"):
+        return "vectorized"
+    if name not in TIMING_BACKENDS:
         raise ValueError(
-            f"unknown timing backend {timing_backend!r}; "
-            f"expected one of {TIMING_BACKENDS}"
+            f"unknown backend {name!r}; expected one of {TIMING_BACKENDS}"
         )
+    return name
 
 
 @dataclass
@@ -598,7 +606,6 @@ def _check_output_protocol(circuit: DualRailCircuit, timed: TimedBatchResult) ->
 def timed_dual_rail_run(
     mapped: MappedDualRail,
     workload: Workload,
-    timing_backend: str = "batch",
     program_cache: Optional[str] = None,
 ) -> TimedDualRailRun:
     """Time every operand of *workload* in one vectorized pass.
@@ -606,23 +613,17 @@ def timed_dual_rail_run(
     The vectorized counterpart of driving
     :func:`make_dual_rail_environment` over the stream: per-operand
     spacer→valid latency, reset times, internal-reset times, done edges and
-    switching energy, computed by the
-    :mod:`~repro.sim.backends.timed` engine of the chosen backend
-    (``"batch"`` or ``"bitpack"``).  The same protocol obligations are
-    enforced, mirroring the event environment: every output port must reach
-    a valid codeword for every operand and rest at spacer, and ``done``
-    must assert, otherwise
+    switching energy, computed by the :mod:`~repro.sim.backends.timed`
+    engine through :meth:`~repro.sim.backends.bitpack.BitpackBackend.run_timed`.
+    The same protocol obligations are enforced, mirroring the event
+    environment: every output port must reach a valid codeword for every
+    operand and rest at spacer, and ``done`` must assert, otherwise
     :class:`~repro.sim.monitors.ProtocolViolation` is raised.
     """
-    if timing_backend not in TIMING_BACKENDS or timing_backend == "event":
-        raise ValueError(
-            f"timed_dual_rail_run needs a vectorized timing backend "
-            f"({[b for b in TIMING_BACKENDS if b != 'event']}), got {timing_backend!r}"
-        )
     circuit, datapath = mapped.circuit, mapped.datapath
-    with _trace.span("measure.timed", backend=timing_backend):
+    with _trace.span("measure.timed"):
         engine = get_backend(
-            timing_backend,
+            BitpackBackend.name,
             circuit.netlist,
             mapped.library,
             vdd=mapped.vdd,

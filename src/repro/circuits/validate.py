@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .gates import is_sequential, is_unate
+from .gates import gate_spec, is_sequential, is_unate
 from .library import CellLibrary
 from .netlist import Netlist
 
@@ -150,8 +150,7 @@ def check_library_mappable(netlist: Netlist, library: CellLibrary) -> Validation
 
 def find_c_elements(netlist: Netlist) -> List[str]:
     """Return the instance names of all C-element cells (dual-rail latches)."""
-    return [c.name for c in netlist.iter_cells() if c.cell_type.startswith("C") and
-            is_sequential(c.cell_type)]
+    return [c.name for c in netlist.iter_cells() if gate_spec(c.cell_type).tag == "c"]
 
 
 def find_flip_flops(netlist: Netlist) -> List[str]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.circuits.gates import gate_spec
+from repro.circuits.gates import COMPLEX_GATE_SHAPES, gate_spec
 from repro.circuits.netlist import Netlist
 
 from .dual_rail import DualRailBuilder, DualRailCircuit, DualRailSignal, SpacerPolarity
@@ -107,48 +107,39 @@ def expand_to_dual_rail(
                 f"cell {cell.name!r} reads nets with no dual-rail expansion: {missing}"
             )
 
-        if ctype == "INV":
-            signals[out_net] = builder.not_(ins[0], name=out_net)
-        elif ctype == "BUF":
-            signals[out_net] = DualRailSignal(
-                name=out_net, pos=ins[0].pos, neg=ins[0].neg, polarity=ins[0].polarity
-            )
-        elif ctype in ("TIE0", "TIE1"):
+        tag = spec.tag
+        if ctype in ("TIE0", "TIE1"):
             signals[out_net] = builder.constant(1 if ctype == "TIE1" else 0, input_polarity)
-        elif ctype.startswith("AND"):
-            signals[out_net] = _reduce(builder, builder.and_, ins)
-        elif ctype.startswith("NAND"):
-            signals[out_net] = builder.not_(_reduce(builder, builder.and_, ins), name=out_net)
-        elif ctype.startswith("OR"):
-            signals[out_net] = _reduce(builder, builder.or_, ins)
-        elif ctype.startswith("NOR"):
-            signals[out_net] = builder.not_(_reduce(builder, builder.or_, ins), name=out_net)
-        elif ctype in ("XOR2", "XNOR2"):
-            a, b = _align(builder, ins)
-            result = builder.xor(a, b, name=out_net)
-            if ctype == "XNOR2":
-                result = builder.not_(result, name=out_net)
-            signals[out_net] = result
-        elif ctype.startswith("AOI") or ctype.startswith("AO"):
-            groups = _complex_groups(ctype)
-            value = _and_or_network(builder, ins, groups)
-            if ctype.startswith("AOI"):
-                value = builder.not_(value, name=out_net)
-            signals[out_net] = value
-        elif ctype.startswith("OAI") or ctype.startswith("OA"):
-            groups = _complex_groups(ctype)
-            value = _or_and_network(builder, ins, groups)
-            if ctype.startswith("OAI"):
-                value = builder.not_(value, name=out_net)
-            signals[out_net] = value
-        elif ctype == "MAJ3":
+            continue
+        if tag in ("inv", "buf"):
+            value = ins[0]
+        elif tag in ("and", "nand"):
+            value = _reduce(builder, builder.and_, ins)
+        elif tag in ("or", "nor"):
+            value = _reduce(builder, builder.or_, ins)
+        elif tag in ("xor", "xnor"):
+            value = builder.xor(*_align(builder, ins), name=out_net)
+        elif tag in COMPLEX_GATE_SHAPES:
+            inner_and = COMPLEX_GATE_SHAPES[tag][0]
+            inner, outer = (
+                (builder.and_, builder.or_) if inner_and else (builder.or_, builder.and_)
+            )
+            value = _two_level_network(builder, ins, spec.pin_groups, inner, outer)
+        elif tag == "maj3":
             a, b, c = ins
             ab = builder.and_(*_align(builder, [a, b]))
             ac = builder.and_(*_align(builder, [a, c]))
             bc = builder.and_(*_align(builder, [b, c]))
-            signals[out_net] = _reduce(builder, builder.or_, [ab, ac, bc])
+            value = _reduce(builder, builder.or_, [ab, ac, bc])
         else:
             raise ExpansionError(f"no dual-rail expansion rule for cell type {ctype!r}")
+        if spec.inverting:
+            value = builder.not_(value, name=out_net)
+        elif tag == "buf":
+            value = DualRailSignal(
+                name=out_net, pos=value.pos, neg=value.neg, polarity=value.polarity
+            )
+        signals[out_net] = value
 
     circuit_outputs: List[str] = list(netlist.primary_outputs)
     for po in circuit_outputs:
@@ -164,37 +155,16 @@ def expand_to_dual_rail(
     return circuit
 
 
-def _complex_groups(ctype: str) -> List[int]:
-    """Extract the leg widths from an AOI/OAI/AO/OA cell name (e.g. AOI22 -> [2, 2])."""
-    digits = "".join(ch for ch in ctype if ch.isdigit())
-    return [int(ch) for ch in digits]
+def _two_level_network(builder: DualRailBuilder, ins: Sequence[DualRailSignal],
+                       groups: Sequence[int], inner, outer) -> DualRailSignal:
+    """Dual-rail *outer* over per-leg *inner* reductions (the AOI/OAI/AO/OA core).
 
-
-def _and_or_network(builder: DualRailBuilder, ins: Sequence[DualRailSignal],
-                    groups: Sequence[int]) -> DualRailSignal:
-    """Dual-rail (AND legs) OR (AND legs) network used for AOI/AO expansion."""
-    terms: List[DualRailSignal] = []
+    *groups* are the cell's ``GateSpec.pin_groups``: the width of each leg in
+    pin order; a one-pin leg feeds the outer operator directly.
+    """
+    legs: List[DualRailSignal] = []
     idx = 0
     for width in groups:
-        leg = list(ins[idx: idx + width])
+        legs.append(_reduce(builder, inner, ins[idx: idx + width]))
         idx += width
-        if len(leg) == 1:
-            terms.append(leg[0])
-        else:
-            terms.append(_reduce(builder, builder.and_, leg))
-    return _reduce(builder, builder.or_, terms)
-
-
-def _or_and_network(builder: DualRailBuilder, ins: Sequence[DualRailSignal],
-                    groups: Sequence[int]) -> DualRailSignal:
-    """Dual-rail (OR legs) AND (OR legs) network used for OAI/OA expansion."""
-    terms: List[DualRailSignal] = []
-    idx = 0
-    for width in groups:
-        leg = list(ins[idx: idx + width])
-        idx += width
-        if len(leg) == 1:
-            terms.append(leg[0])
-        else:
-            terms.append(_reduce(builder, builder.or_, leg))
-    return _reduce(builder, builder.and_, terms)
+    return _reduce(builder, outer, legs)

@@ -33,7 +33,6 @@ from .evaluate import (
     DesignPoint,
     EvaluationSettings,
     SMOKE_SETTINGS,
-    SWEEP_BACKENDS,
     SweepResult,
     build_spec_workload,
     evaluate_point,
@@ -101,7 +100,6 @@ __all__ = [
     "ResultStore",
     "SMOKE_GRID",
     "SMOKE_SETTINGS",
-    "SWEEP_BACKENDS",
     "SweepResult",
     "WorkQueue",
     "build_spec_workload",

@@ -11,20 +11,21 @@ paper argues about:
 * **latency** — mean / p95 / max spacer→valid latency from the event-driven
   simulation (the synchronous baseline's latency is its clock period);
 * **energy per inference** — switching activity priced through the library's
-  per-cell energies (batch backend) or the event transition log;
+  per-cell energies (vectorized pass) or the event transition log;
 * **area** — mapped cell area, with the sequential-cell breakdown.
 
-Backends
---------
-``backend="batch"`` (the sweep default) sources every functional quantity
-from the vectorized batch backend over the full operand stream and runs the
-event-driven simulation only on a short timing prefix
-(``settings.timing_operands``); ``backend="bitpack"`` does the same through
-the bit-packed 64-lane engine (fastest on long streams);
-``backend="event"`` simulates the full stream event-driven, exactly like
-the Table-I measurement.  All paths share :mod:`repro.analysis.measure`, so
-a DSE point is measured the same way the paper-reproduction harnesses
-measure.
+Measurement modes
+-----------------
+``backend`` (functional quantities) and ``timing_backend`` (latency and
+energy) each take ``"event"`` or ``"vectorized"``.  The default *hybrid*
+mode, ``("vectorized", "event")``, takes every functional quantity from one
+vectorized pass over the full operand stream and event-simulates only a
+short timing prefix (``settings.timing_operands``); ``("event", "event")``
+simulates the full stream event-driven, exactly like the Table-I
+measurement; vectorized timing times the full stream, and its value planes
+answer the functional questions too, so it records ``"vectorized"`` for
+both.  All modes share :mod:`repro.analysis.measure`, so a DSE point is
+measured the same way the paper-reproduction harnesses measure.
 
 :func:`run_sweep` fans a grid out through
 :func:`repro.analysis.runner.run_parallel` under the pinned determinism
@@ -46,8 +47,8 @@ from repro.analysis.measure import (
     Workload,
     batch_functional_pass,
     build_mapped_dual_rail,
-    check_timing_backend,
     make_dual_rail_environment,
+    normalize_timing_backend,
     truncate_workload,
 )
 from repro.analysis.experiments import measure_dual_rail, measure_single_rail
@@ -63,12 +64,6 @@ from repro.tm.machine import TsetlinMachine
 
 from .grid import DesignPointSpec, GridExpansion, ParameterGrid
 from .store import ResultStore, library_fingerprint, point_key
-
-#: Simulation backends the evaluator accepts.  The vectorized pair
-#: ("batch", "bitpack") source functional quantities from one whole-stream
-#: pass and event-simulate only the timing prefix; "event" times everything.
-SWEEP_BACKENDS = ("batch", "event", "bitpack")
-
 
 @dataclass(frozen=True)
 class EvaluationSettings:
@@ -86,12 +81,12 @@ class EvaluationSettings:
         Length of the hardware operand stream (resampled from the test
         split) that functional quantities are measured over.
     timing_operands:
-        Event-simulated prefix used for the latency columns under
-        ``backend="batch"`` (the event backend times the full stream).
+        Event-simulated prefix used for the latency columns in the hybrid
+        mode (the other modes time the full stream).
     seed:
         Root seed: dataset generation, training and operand resampling all
         derive from it, which is what makes a point a pure function of
-        ``(spec, settings, backend)``.
+        ``(spec, settings, backend, timing_backend)``.
     """
 
     num_features: int = 3
@@ -123,11 +118,13 @@ class DesignPoint:
 
     ``metric(name)`` provides uniform access for the Pareto machinery; the
     ``to_dict``/``from_dict`` pair is the store and artifact serialization
-    (plain JSON types only).  ``timing_backend`` records where the latency
-    and energy columns came from: the event-driven environment (``"event"``,
-    the seed behaviour) or the vectorized timing engine (``"batch"`` /
-    ``"bitpack"`` — which also raises ``timed_operands`` to the full stream,
-    since timing the whole stream is then as cheap as the functional pass).
+    (plain JSON types only).  ``backend`` and ``timing_backend`` record the
+    engines that produced the functional and the latency/energy columns:
+    the event-driven environment (``"event"``) or the vectorized engines
+    (``"vectorized"``; vectorized timing also raises ``timed_operands`` to
+    the full stream, since timing the whole stream is then as cheap as the
+    functional pass).  Clocked points are always event-simulated and record
+    ``"event"`` in both.
     """
 
     spec: DesignPointSpec
@@ -235,11 +232,18 @@ def build_spec_workload(
     return workload, accuracy
 
 
-def _check_sweep_backend(backend: str) -> None:
-    if backend not in SWEEP_BACKENDS:
-        raise ValueError(
-            f"unknown sweep backend {backend!r}; expected one of {SWEEP_BACKENDS}"
-        )
+def normalize_backends(backend: str, timing_backend: str) -> Tuple[str, str]:
+    """Canonical ``(backend, timing_backend)`` names of a DSE measurement.
+
+    Each name goes through
+    :func:`~repro.analysis.measure.normalize_timing_backend`; vectorized
+    timing makes the functional source vectorized as well.
+    """
+    backend = normalize_timing_backend(backend)
+    timing_backend = normalize_timing_backend(timing_backend)
+    if timing_backend == "vectorized":
+        backend = "vectorized"
+    return backend, timing_backend
 
 
 def _resolved_vdd(spec: DesignPointSpec, library: CellLibrary) -> float:
@@ -262,7 +266,7 @@ def _evaluate_dual_rail(
     timed = truncate_workload(workload, settings.timing_operands)
     with _trace.span("dse.simulate", backend=backend,
                      timing_backend=timing_backend):
-        if timing_backend != "event" or backend == "event":
+        if timing_backend == "vectorized" or backend == "event":
             # Both the fully-vectorized path (one timed pass over the *full*
             # stream — no prefix truncation) and the fully-event path are the
             # Table-I measurement itself: route through measure_dual_rail so
@@ -270,8 +274,8 @@ def _evaluate_dual_rail(
             timed = workload
             measurement = measure_dual_rail(
                 replace_config(workload, config), library, vdd=spec.vdd,
-                check_monotonic=False, backend="event",
-                timing_backend=timing_backend, program_cache=program_cache,
+                check_monotonic=False, timing_backend=timing_backend,
+                program_cache=program_cache,
             )
             correctness = measurement.correctness
             energy = measurement.power.energy_per_operation_fj
@@ -282,7 +286,7 @@ def _evaluate_dual_rail(
             mapped = build_mapped_dual_rail(config, library, vdd=spec.vdd)
             functional = batch_functional_pass(
                 mapped.datapath, mapped.circuit, replace_config(workload, config),
-                library, vdd=spec.vdd, with_activity=True, backend=backend,
+                library, vdd=spec.vdd, with_activity=True, backend="bitpack",
                 program_cache=program_cache,
             )
             correctness = functional.correctness
@@ -333,18 +337,17 @@ def _evaluate_synchronous(
     workload: Workload,
     accuracy: float,
     library: CellLibrary,
-    backend: str,
 ) -> DesignPoint:
-    # The clocked baseline has no batch evaluator (flip-flop state is
-    # inherently sequential), so all backends share the event measurement;
-    # its latency is the STA clock period by definition, which is also why
-    # timing_backend does not apply (the point records "event").
+    # The clocked baseline has no vectorized evaluator (flip-flop state is
+    # inherently sequential), so every mode runs the event measurement and
+    # the point records "event" for both engines; its latency is the STA
+    # clock period by definition.
     measurement = measure_single_rail(workload, library, vdd=spec.vdd)
     period = measurement.clock_period_ps
     metrics = measurement.synthesis.metrics()
     return DesignPoint(
         spec=spec,
-        backend=backend,
+        backend="event",
         vdd=_resolved_vdd(spec, library),
         num_features=workload.config.num_features,
         accuracy=accuracy,
@@ -365,21 +368,21 @@ def _evaluate_synchronous(
 def evaluate_point(
     spec: DesignPointSpec,
     settings: EvaluationSettings = SMOKE_SETTINGS,
-    backend: str = "batch",
+    backend: str = "vectorized",
     timing_backend: str = "event",
     program_cache: Optional[str] = None,
 ) -> DesignPoint:
     """Evaluate one design point end to end: train → map → simulate → report.
 
-    ``timing_backend="batch"``/``"bitpack"`` sources the latency, energy and
+    *backend* and *timing_backend* select one of the measurement modes the
+    module docstring lists.  ``timing_backend="vectorized"`` sources the latency, energy and
     throughput axes from the vectorized timing engine over the *full*
     operand stream (the ``settings.timing_operands`` prefix only applies to
-    the event-timed paths); ``"event"`` keeps the seed behaviour and is the
-    equivalence oracle the timed axes are validated against.  Under a
-    vectorized *timing_backend* the functional quantities come from the
-    timed engine's own value planes, so *backend* is normalized to
-    *timing_backend* — the recorded provenance (and the store key) name
-    the engine that actually ran.
+    the hybrid mode); ``"event"`` is the equivalence oracle the timed axes
+    are validated against.  Under vectorized timing the functional
+    quantities come from the timed engine's own value planes, so *backend*
+    becomes ``"vectorized"`` too — the recorded provenance (and the store
+    key) name the engine that actually ran.
 
     ``program_cache`` (a directory path) serves the point's compiled
     program from the on-disk
@@ -389,10 +392,7 @@ def evaluate_point(
     """
     spec = spec.validate().normalized()
     settings.validate()
-    _check_sweep_backend(backend)
-    check_timing_backend(timing_backend)
-    if timing_backend != "event":
-        backend = timing_backend
+    backend, timing_backend = normalize_backends(backend, timing_backend)
     check_style(spec.style)
     if not spec.is_feasible():
         raise ValueError(
@@ -407,9 +407,7 @@ def evaluate_point(
                 spec, settings, workload, accuracy, library, backend,
                 timing_backend, program_cache=program_cache,
             )
-        return _evaluate_synchronous(
-            spec, settings, workload, accuracy, library, backend
-        )
+        return _evaluate_synchronous(spec, settings, workload, accuracy, library)
 
 
 def _sweep_worker(
@@ -464,7 +462,7 @@ def expand_grid(
 def run_sweep(
     grid: Union[ParameterGrid, Sequence[DesignPointSpec]],
     settings: EvaluationSettings = SMOKE_SETTINGS,
-    backend: str = "batch",
+    backend: str = "vectorized",
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     timing_backend: str = "event",
@@ -480,10 +478,9 @@ def run_sweep(
     fresh results are written back before returning.  The returned points
     are in grid-expansion order regardless of ``jobs`` or cache state.
     *timing_backend* is part of the store key (a timed point and an
-    event-timed point are different measurements of the same spec); under a
-    vectorized *timing_backend* the functional *backend* is normalized to
-    it, exactly as :func:`evaluate_point` does, so equivalent sweeps share
-    cache entries.
+    event-timed point are different measurements of the same spec).  Both
+    names are normalized exactly as :func:`evaluate_point` does, so
+    equivalent sweeps share cache entries.
 
     ``program_cache`` (a directory path) is handed to every evaluated
     point; workers then load each unique design's compiled program from
@@ -499,10 +496,7 @@ def run_sweep(
     (``lease_ttl``, ``max_attempts``, ``sharded``, …) pass through.  The
     in-process ``jobs`` fan-out is ignored in queue mode.
     """
-    _check_sweep_backend(backend)
-    check_timing_backend(timing_backend)
-    if timing_backend != "event":
-        backend = timing_backend
+    backend, timing_backend = normalize_backends(backend, timing_backend)
     settings.validate()
     if workers is not None:
         from .queue import run_queue_sweep  # local: queue imports this module

@@ -68,6 +68,7 @@ from .evaluate import (
     SMOKE_SETTINGS,
     SweepResult,
     expand_grid,
+    normalize_backends,
 )
 from .grid import DesignPointSpec
 from .store import ResultStore, point_key
@@ -210,7 +211,7 @@ def write_manifest(
     store_dir: Union[str, Path],
     specs: Sequence[DesignPointSpec],
     settings: EvaluationSettings = SMOKE_SETTINGS,
-    backend: str = "batch",
+    backend: str = "vectorized",
     timing_backend: str = "event",
     program_cache: Optional[str] = None,
     grid_name: str = "custom",
@@ -220,10 +221,14 @@ def write_manifest(
 
     Store keys are computed here once (library fingerprints amortized over
     the grid) so every worker — local process or remote host — agrees on
-    them without recomputing.  Returns ``(path, resumed)``: *resumed* is
-    ``True`` when a byte-identical manifest already existed (the run is a
-    resume of the same sweep), ``False`` when it was (re)written.
+    them without recomputing.  *backend* and *timing_backend* are
+    normalized first, as :func:`~repro.explore.evaluate.run_sweep` does, so
+    the manifest and its keys carry canonical names only.  Returns
+    ``(path, resumed)``: *resumed* is ``True`` when a byte-identical
+    manifest already existed (the run is a resume of the same sweep),
+    ``False`` when it was (re)written.
     """
+    backend, timing_backend = normalize_backends(backend, timing_backend)
     store_dir = Path(store_dir)
     queue_dir = store_dir / _QUEUE_DIR
     queue_dir.mkdir(parents=True, exist_ok=True)
@@ -873,7 +878,7 @@ def _chaos_monitor(
 def run_queue_sweep(
     grid,
     settings: EvaluationSettings = SMOKE_SETTINGS,
-    backend: str = "batch",
+    backend: str = "vectorized",
     workers: int = 2,
     store: Union[ResultStore, str, Path, None] = None,
     timing_backend: str = "event",

@@ -80,11 +80,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuits.gates import LogicValue
-from repro.circuits.library import CellLibrary
-from repro.circuits.netlist import Netlist
 from repro.obs import trace as _trace
 
-from ..program import CompiledProgram, compile_program
+from ..program import CompiledProgram
 from .base import BackendError, bind_cell_ops, make_cell_type_compiler
 from .batch import (
     X,
@@ -343,9 +341,10 @@ def backend_run_timed(
 ) -> "TimedBatchResult":
     """Shared ``run_timed`` implementation for the vectorized backends.
 
-    Lazily compiles (and caches on *backend*, keyed by the delay-variation
-    assignment) one :class:`TimedProgram` per configuration, so both the
-    batch and bitpack entry points share a single compile/cache policy.
+    Lazily builds (and caches on *backend*, keyed by the delay-variation
+    assignment) one :class:`TimedProgram` over the backend's
+    :class:`~repro.sim.program.CompiledProgram`, so both the batch and
+    bitpack entry points share a single cache policy.
     """
     key = tuple(sorted((delay_variation or {}).items()))
     cache = getattr(backend, "_timed_programs", None)
@@ -353,84 +352,50 @@ def backend_run_timed(
         cache = backend._timed_programs = {}
     program = cache.get(key)
     if program is None:
-        compiled = getattr(backend, "program", None)
-        if compiled is not None and compiled.characterized:
-            # The backend's CompiledProgram already carries the resolved
-            # delay/energy model — no netlist re-walk, works even for
-            # backends constructed from a cached program with no netlist.
-            program = TimedProgram.from_program(
-                compiled, delay_variation=delay_variation
-            )
-        elif backend.netlist is not None:
-            program = TimedProgram(
-                backend.netlist, backend.library, vdd=backend.vdd,
-                delay_variation=delay_variation,
-            )
-        else:
-            raise BackendError("the timed engine requires a characterised library")
-        cache[key] = program
+        program = cache[key] = TimedProgram(backend.program, delay_variation)
     return program.run(inputs, spacer)
 
 
 class TimedProgram:
-    """A netlist compiled for vectorized per-sample timing evaluation.
+    """A compiled program bound for vectorized per-sample timing evaluation.
 
-    Compiles once (levelization + per-cell delay resolution) and then runs
-    any number of stimulus batches through :meth:`run`.  The vdd handling
-    mirrors :class:`~repro.sim.simulator.GateLevelSimulator`: the supply
-    defaults to the library nominal and non-functional supplies are
-    rejected, because delays below the functional floor are meaningless.
+    Binds once (per-cell evaluators plus per-instance delays) and then runs
+    any number of stimulus batches through :meth:`run`.
 
     Parameters
     ----------
-    netlist:
-        Combinational (levelizable) netlist; C-elements allowed, flip-flops
-        rejected — the synchronous baseline's latency is its STA clock
-        period, not a data-dependent quantity.
-    library:
-        Characterised cell library supplying delays and energies (required,
-        unlike the purely functional backends).
-    vdd:
-        Supply voltage; defaults to the library nominal.
-    delay_variation:
-        Optional per-instance delay multipliers, matching the event
-        simulator's and STA's parameter of the same name.
     program:
-        Alternative construction from a characterised
-        :class:`~repro.sim.program.CompiledProgram` (see
-        :meth:`from_program`): the artifact already carries the base
-        delay/energy model, so no netlist or library is needed.
+        A characterised :class:`~repro.sim.program.CompiledProgram`: compiled
+        with a library that is functional at the program's supply, so every
+        op carries its base delay and energy.  Uncharacterised programs are
+        rejected, because delays without a library, or below the functional
+        floor, are meaningless.  Flip-flops never reach this point:
+        :func:`~repro.sim.program.compile_program` rejects clocked netlists
+        (the synchronous baseline's latency is its STA clock period, not a
+        data-dependent quantity).
+    delay_variation:
+        Optional per-instance delay multipliers applied on top of the
+        program's base delays, matching the event simulator's and STA's
+        parameter of the same name.
     """
 
     def __init__(
         self,
-        netlist: Optional[Netlist] = None,
-        library: Optional[CellLibrary] = None,
-        vdd: Optional[float] = None,
+        program: CompiledProgram,
         delay_variation: Optional[Dict[str, float]] = None,
-        program: Optional[CompiledProgram] = None,
     ) -> None:
-        if program is None:
-            if library is None:
-                raise BackendError("the timed engine requires a characterised library")
-            if netlist is None:
-                raise BackendError("the timed engine needs a netlist= or program=")
-            supply = (
-                float(vdd) if vdd is not None else library.voltage_model.nominal_vdd
-            )
-            if not library.voltage_model.is_functional(supply):
-                raise BackendError(
-                    f"library {library.name!r} is not functional at {supply:.2f} V; "
-                    "timed results would be meaningless"
+        if not program.characterized:
+            if program.library_name is None:
+                reason = "it was compiled without a cell library"
+            else:
+                reason = (
+                    f"library {program.library_name!r} is not functional at "
+                    f"{program.vdd:.2f} V"
                 )
-            program = compile_program(netlist, library, vdd=supply)
-        elif not program.characterized:
             raise BackendError(
-                "the timed engine requires a characterised CompiledProgram "
-                "(compiled with a library functional at the program's supply)"
+                f"the timed engine requires a characterised program: {reason}; "
+                "timed results would be meaningless"
             )
-        self.netlist = netlist
-        self.library = library
         self.vdd = program.vdd
         #: The backend-neutral compile artifact this engine executes.
         self.program = program
@@ -443,21 +408,6 @@ class TimedProgram:
             for op in program.ops
         ]
         self._energies: List[float] = [2.0 * op.energy_fj for op in program.ops]
-
-    @classmethod
-    def from_program(
-        cls,
-        program: CompiledProgram,
-        delay_variation: Optional[Dict[str, float]] = None,
-    ) -> "TimedProgram":
-        """Timed engine over a precompiled characterised program.
-
-        Per-instance *delay_variation* multipliers are applied on top of the
-        artifact's base delays — exactly the factorisation the netlist
-        construction path performs, so both paths produce bit-identical
-        engines for the same inputs.
-        """
-        return cls(program=program, delay_variation=delay_variation)
 
     def _phase_sweep(
         self,

@@ -40,7 +40,7 @@ import hashlib
 import json
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.gates import gate_spec
 from repro.circuits.levelize import levelize
@@ -175,9 +175,9 @@ class CompiledProgram:
     """A serializable levelized compile artifact shared by every backend.
 
     Produced by :func:`compile_program`; executed by the batch, bitpack and
-    timed engines after a per-backend :meth:`bind`.  Carries no callables
-    or netlist references, so it pickles/JSON-serializes cheaply across
-    worker processes and caches on disk
+    timed engines, which bind their own evaluators from the ops' cell types.
+    Carries no callables or netlist references, so it pickles/JSON-serializes
+    cheaply across worker processes and caches on disk
     (:class:`~repro.sim.program_cache.ProgramCache`).
 
     Attributes
@@ -236,25 +236,6 @@ class CompiledProgram:
         """The net universe (ordered, O(1) membership) backends validate
         stimulus against — the program-world stand-in for ``netlist.nets``."""
         return self.net_names
-
-    # ------------------------------------------------------------- binding
-    def bind(self, compile_cell_type: Callable[[str], Callable]) -> List[Callable]:
-        """Evaluator per op, bound lazily from the cell-type dispatch tags.
-
-        *compile_cell_type* is one of the
-        :func:`~repro.sim.backends.base.make_cell_type_compiler`
-        instantiations (batch / bitpack / timed primitives); functions are
-        memoised per cell type, keeping the artifact itself backend-neutral.
-        """
-        fn_cache: Dict[str, Callable] = {}
-        fns: List[Callable] = []
-        for op in self.ops:
-            fn = fn_cache.get(op.cell_type)
-            if fn is None:
-                fn = compile_cell_type(op.cell_type)
-                fn_cache[op.cell_type] = fn
-            fns.append(fn)
-        return fns
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> Dict:

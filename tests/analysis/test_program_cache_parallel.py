@@ -28,7 +28,7 @@ def _latencies(results):
 def test_parallel_cached_run_compiles_exactly_once(tmp_path, workload, umc):
     with trace.capture() as captured:
         results = run_latency_distribution(
-            workload, umc, jobs=2, chunk_size=2, timing_backend="batch",
+            workload, umc, jobs=2, chunk_size=2, timing_backend="vectorized",
             program_cache=str(tmp_path),
         )
     compiles = [r for r in captured.records if r.name == "backend.compile"]
@@ -42,14 +42,14 @@ def test_parallel_cached_run_compiles_exactly_once(tmp_path, workload, umc):
 
 def test_cached_path_bit_identical_across_jobs(tmp_path, workload, umc):
     seed = run_latency_distribution(
-        workload, umc, jobs=1, chunk_size=2, timing_backend="batch"
+        workload, umc, jobs=1, chunk_size=2, timing_backend="vectorized"
     )
     serial = run_latency_distribution(
-        workload, umc, jobs=1, chunk_size=2, timing_backend="batch",
+        workload, umc, jobs=1, chunk_size=2, timing_backend="vectorized",
         program_cache=str(tmp_path),
     )
     parallel = run_latency_distribution(
-        workload, umc, jobs=3, chunk_size=2, timing_backend="batch",
+        workload, umc, jobs=3, chunk_size=2, timing_backend="vectorized",
         program_cache=str(tmp_path),
     )
     assert _latencies(serial) == _latencies(seed)

@@ -127,24 +127,23 @@ def test_latency_distribution_jobs_invariant(tiny_workload):
 def test_figure3_backend_and_jobs_invariant(tiny_workload):
     library = full_diffusion_library()
     voltages = (0.5, 1.2)
-    event = run_figure3(tiny_workload, voltages=voltages, library=library,
-                        operands_per_point=3)
-    batch = run_figure3(tiny_workload, voltages=voltages, library=library,
-                        operands_per_point=3, backend="batch", jobs=2)
+    serial = run_figure3(tiny_workload, voltages=voltages, library=library,
+                         operands_per_point=3)
+    parallel = run_figure3(tiny_workload, voltages=voltages, library=library,
+                           operands_per_point=3, jobs=2)
     assert [(p.vdd, p.avg_latency_ps, p.max_latency_ps, p.functional, p.correct)
-            for p in event] == \
+            for p in serial] == \
            [(p.vdd, p.avg_latency_ps, p.max_latency_ps, p.functional, p.correct)
-            for p in batch]
+            for p in parallel]
 
 
 def test_table1_backend_and_jobs_invariant(tiny_workload):
     libraries = [umc_ll_library()]
-    rows_event, _ = run_table1(tiny_workload, libraries=libraries)
-    rows_batch, _ = run_table1(tiny_workload, libraries=libraries,
-                               backend="batch", jobs=2)
-    assert len(rows_event) == len(rows_batch) == 2
-    for event_row, batch_row in zip(rows_event, rows_batch):
-        assert event_row.design == batch_row.design
-        assert event_row.avg_latency_ps == batch_row.avg_latency_ps
-        assert event_row.avg_power_uw == batch_row.avg_power_uw
-        assert event_row.extra["correctness"] == batch_row.extra["correctness"]
+    rows_serial, _ = run_table1(tiny_workload, libraries=libraries)
+    rows_parallel, _ = run_table1(tiny_workload, libraries=libraries, jobs=2)
+    assert len(rows_serial) == len(rows_parallel) == 2
+    for serial_row, parallel_row in zip(rows_serial, rows_parallel):
+        assert serial_row.design == parallel_row.design
+        assert serial_row.avg_latency_ps == parallel_row.avg_latency_ps
+        assert serial_row.avg_power_uw == parallel_row.avg_power_uw
+        assert serial_row.extra["correctness"] == parallel_row.extra["correctness"]

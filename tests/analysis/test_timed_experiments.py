@@ -2,9 +2,9 @@
 
 The acceptance contract: ``run_table1`` / ``run_figure3`` produce identical
 tables and sweep values (within the documented float re-association
-tolerance) with ``timing_backend="batch"`` vs the event oracle, parallel
-runs are bit-identical to serial runs, and the DSE evaluator's timed points
-are backend-agnostic (batch == bitpack field for field).
+tolerance) with ``timing_backend="vectorized"`` vs the event oracle,
+parallel runs are bit-identical to serial runs, and every harness records
+and keys its measurements under the canonical names only.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.analysis import (
     run_latency_distribution,
     run_table1,
 )
+from repro.explore import ResultStore, WorkQueue, named_grid, run_sweep, write_manifest
 from repro.explore.evaluate import SMOKE_SETTINGS, evaluate_point
 from repro.explore.grid import DesignPointSpec
 from repro.explore.store import point_key
@@ -41,7 +42,7 @@ def workload():
 
 def test_measure_dual_rail_timed_matches_event(workload, umc):
     event = measure_dual_rail(workload, umc, timing_backend="event")
-    timed = measure_dual_rail(workload, umc, timing_backend="batch")
+    timed = measure_dual_rail(workload, umc, timing_backend="vectorized")
     assert timed.verdicts == event.verdicts
     assert timed.correctness == event.correctness
     assert timed.grace.td == event.grace.td
@@ -63,7 +64,7 @@ def test_measure_dual_rail_timed_matches_event(workload, umc):
 
 def test_run_table1_identical_with_timed_backend(workload):
     rows_event, _ = run_table1(workload, timing_backend="event")
-    rows_timed, _ = run_table1(workload, timing_backend="batch", jobs=2)
+    rows_timed, _ = run_table1(workload, timing_backend="vectorized", jobs=2)
     assert len(rows_event) == len(rows_timed) == 4
     for event_row, timed_row in zip(rows_event, rows_timed):
         assert event_row.technology == timed_row.technology
@@ -83,6 +84,7 @@ def test_run_table1_identical_with_timed_backend(workload):
 
 @pytest.mark.parametrize("timing_backend", ["batch", "bitpack"])
 def test_run_figure3_identical_with_timed_backend(workload, timing_backend):
+    """The old spellings of ``"vectorized"`` still time the sweep."""
     voltages = (0.4, 0.6, 1.2)  # 0.4 V is below the UMC floor: a NaN point
     kwargs = dict(workload=workload, voltages=voltages, operands_per_point=4)
     from repro.circuits import umc_ll_library
@@ -110,10 +112,10 @@ def test_run_figure3_identical_with_timed_backend(workload, timing_backend):
 def test_latency_distribution_timed_jobs_bit_identity(workload, umc):
     """jobs=1 ≡ jobs=N through run_parallel: every field, bit for bit."""
     serial = run_latency_distribution(
-        workload, umc, timing_backend="batch", chunk_size=3, jobs=1
+        workload, umc, timing_backend="vectorized", chunk_size=3, jobs=1
     )
     parallel = run_latency_distribution(
-        workload, umc, timing_backend="batch", chunk_size=3, jobs=3
+        workload, umc, timing_backend="vectorized", chunk_size=3, jobs=3
     )
     assert len(serial) == len(parallel) == workload.num_operands
     for a, b in zip(serial, parallel):
@@ -127,7 +129,7 @@ def test_latency_distribution_timed_jobs_bit_identity(workload, umc):
 
 def test_latency_distribution_timed_matches_event_per_operand(workload, umc):
     event = run_latency_distribution(workload, umc)
-    timed = run_latency_distribution(workload, umc, timing_backend="batch")
+    timed = run_latency_distribution(workload, umc, timing_backend="vectorized")
     assert len(event) == len(timed)
     for ev, tm in zip(event, timed):
         assert tm.t_s_to_v == pytest.approx(ev.t_s_to_v, rel=RTOL)
@@ -171,7 +173,8 @@ def test_timed_run_builds_no_grouped_plan(workload, umc, monkeypatch, timing_bac
     """The timed engine never runs the grouped kernel, so it never builds one.
 
     Each DSE point times its stream through a freshly constructed backend;
-    a plan built there would be thrown away unused.
+    a plan built there would be thrown away unused.  The old spellings
+    ``"batch"`` and ``"bitpack"`` route a measurement onto the same engine.
     """
     from repro.analysis.measure import build_mapped_dual_rail, timed_dual_rail_run
     from repro.sim import kernels
@@ -185,18 +188,31 @@ def test_timed_run_builds_no_grouped_plan(workload, umc, monkeypatch, timing_bac
 
     monkeypatch.setattr(kernels, "build_grouped_plan", counting)
     mapped = build_mapped_dual_rail(workload.config, umc)
-    run = timed_dual_rail_run(mapped, workload, timing_backend=timing_backend)
+    run = timed_dual_rail_run(mapped, workload)
     assert len(run.results) == workload.num_operands
+    measurement = measure_dual_rail(workload, umc, timing_backend=timing_backend)
+    assert measurement.latencies_ps == [r.t_s_to_v for r in run.results]
     assert built == []
 
 
-def test_unknown_timing_backend_is_rejected(workload, umc):
+def test_unknown_timing_backend_is_rejected(workload, umc, tmp_path):
     with pytest.raises(ValueError):
         measure_dual_rail(workload, umc, timing_backend="sta")
     with pytest.raises(ValueError):
         run_table1(workload, timing_backend="nope")
     with pytest.raises(ValueError):
         run_latency_distribution(workload, umc, timing_backend="nope")
+    with pytest.raises(ValueError):
+        run_figure3(workload, timing_backend="nope")
+    spec = named_grid("smoke").expand().points[0]
+    for kwargs in ({"backend": "nope"}, {"timing_backend": "nope"}):
+        with pytest.raises(ValueError):
+            evaluate_point(spec, SMOKE_SETTINGS, **kwargs)
+        with pytest.raises(ValueError):
+            run_sweep([spec], SMOKE_SETTINGS, **kwargs)
+        with pytest.raises(ValueError):
+            write_manifest(tmp_path, [spec], SMOKE_SETTINGS, **kwargs)
+    assert not (tmp_path / "queue" / "manifest.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +224,16 @@ def dse_spec():
 
 
 def test_dse_timed_point_matches_event_and_times_full_stream(dse_spec):
-    event_point = evaluate_point(dse_spec, SMOKE_SETTINGS, backend="event")
-    timed_point = evaluate_point(
-        dse_spec, SMOKE_SETTINGS, backend="batch", timing_backend="batch"
+    event_point = evaluate_point(
+        dse_spec, SMOKE_SETTINGS, backend="event", timing_backend="event"
     )
+    assert (event_point.backend, event_point.timing_backend) == ("event", "event")
+    assert event_point.timed_operands == SMOKE_SETTINGS.operands
+    timed_point = evaluate_point(dse_spec, SMOKE_SETTINGS, timing_backend="vectorized")
     assert timed_point.timed_operands == SMOKE_SETTINGS.operands
-    assert timed_point.timing_backend == "batch"
+    assert (timed_point.backend, timed_point.timing_backend) == (
+        "vectorized", "vectorized"
+    )
     assert timed_point.hardware_correctness == event_point.hardware_correctness
     for metric in ("mean_latency_ps", "p95_latency_ps", "max_latency_ps",
                    "energy_per_inference_fj", "throughput_mops"):
@@ -222,40 +242,44 @@ def test_dse_timed_point_matches_event_and_times_full_stream(dse_spec):
         ), metric
 
 
-def test_dse_timed_point_is_backend_agnostic(dse_spec):
-    """batch and bitpack timed points agree field for field."""
-    via_batch = evaluate_point(
-        dse_spec, SMOKE_SETTINGS, backend="batch", timing_backend="batch"
-    ).to_dict()
-    via_bitpack = evaluate_point(
-        dse_spec, SMOKE_SETTINGS, backend="bitpack", timing_backend="bitpack"
-    ).to_dict()
-    for record in (via_batch, via_bitpack):
-        record.pop("backend")
-        record.pop("timing_backend")
-    assert via_batch == via_bitpack
+def test_dse_timed_normalizes_functional_backend(tmp_path):
+    """Old spellings are canonicalised before anything is recorded or keyed.
 
-
-def test_dse_timed_normalizes_functional_backend(dse_spec):
-    """Under a vectorized timing_backend the functional backend is moot.
-
-    The timed engine's own value planes answer every functional question,
-    so `backend` is normalized to `timing_backend` — provenance names the
-    engine that actually ran, and equivalent sweeps share store entries.
+    This is the benchmark's sweep call: ``timing_backend="bitpack"`` is a
+    spelling of ``"vectorized"``, and under vectorized timing the timed
+    engine's value planes answer every functional question, so both names
+    become ``"vectorized"``.  A sweep spelled canonically then hits the same
+    store entries.
     """
-    point = evaluate_point(
-        dse_spec, SMOKE_SETTINGS, backend="bitpack", timing_backend="batch"
+    specs = named_grid("smoke").expand().points[:2]
+    store = ResultStore(tmp_path)
+    first = run_sweep(specs, settings=SMOKE_SETTINGS, timing_backend="bitpack",
+                      jobs=1, store=store)
+    assert [(p.backend, p.timing_backend) for p in first.points] == [
+        ("vectorized", "vectorized")
+    ] * 2
+    second = run_sweep(specs, settings=SMOKE_SETTINGS, timing_backend="vectorized",
+                       jobs=1, store=store)
+    assert (second.evaluated, second.cached) == (0, 2)
+    assert [p.to_dict() for p in second.points] == [p.to_dict() for p in first.points]
+    # A queue manifest spelled the old way carries the same canonical keys.
+    write_manifest(tmp_path, specs, SMOKE_SETTINGS, timing_backend="batch")
+    queue = WorkQueue(tmp_path)
+    manifest = queue.manifest()
+    assert (manifest["backend"], manifest["timing_backend"]) == (
+        "vectorized", "vectorized"
     )
-    assert point.backend == "batch"
-    assert point.timing_backend == "batch"
+    assert all(store.get(task.key) is not None for task in queue.tasks())
 
 
 def test_store_key_separates_timing_backends(dse_spec, umc):
     """A timed point and an event-timed point are different measurements."""
-    base = point_key(dse_spec, SMOKE_SETTINGS, umc, "batch")
+    base = point_key(dse_spec, SMOKE_SETTINGS, umc, "vectorized")
     explicit_event = point_key(
-        dse_spec, SMOKE_SETTINGS, umc, "batch", timing_backend="event"
+        dse_spec, SMOKE_SETTINGS, umc, "vectorized", timing_backend="event"
     )
-    timed = point_key(dse_spec, SMOKE_SETTINGS, umc, "batch", timing_backend="batch")
+    timed = point_key(
+        dse_spec, SMOKE_SETTINGS, umc, "vectorized", timing_backend="vectorized"
+    )
     assert base == explicit_event  # pre-existing stores keep serving event points
     assert timed != base

@@ -2,12 +2,15 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import LogicBuilder, check_unate_only, umc_ll_library
+from repro.circuits import LogicBuilder, Netlist, check_unate_only, umc_ll_library
+from repro.circuits.gates import GATE_REGISTRY, gate_spec
 from repro.core import ExpansionError, expand_to_dual_rail
+from repro.sim.backends import BatchBackend
 from tests.conftest import run_dual_rail_operands, simulate_combinational
 
 
@@ -88,3 +91,45 @@ def test_expand_majority_gate_property(bits):
     dual_result = run_dual_rail_operands(dual, library, [operand])[0]
     expected = int((bits[0] + bits[1] + bits[2]) >= 2) | bits[3]
     assert dual_result.outputs["y"] == expected
+
+
+#: Every registry cell the expansion accepts: all combinational dispatch tags.
+COMBINATIONAL_CELLS = sorted(
+    name for name, spec in GATE_REGISTRY.items()
+    if spec.tag is not None and not spec.sequential
+)
+
+
+@pytest.mark.parametrize("negative_gates", [True, False])
+def test_every_combinational_cell_expands_exactly(negative_gates):
+    """One-cell netlists of every shape, every input vector, both gate styles.
+
+    The expanded rails are evaluated on the batch reference interpreter and
+    compared with the cell's own three-valued ``GateSpec.evaluate``.
+    """
+    assert len(COMBINATIONAL_CELLS) == 29
+    for cell_type in COMBINATIONAL_CELLS:
+        spec = gate_spec(cell_type)
+        netlist = Netlist(f"one_{cell_type}")
+        for pin in spec.input_pins:
+            netlist.add_input(pin.lower())
+        netlist.add_output("y")
+        netlist.add_cell(cell_type, inputs={pin: pin.lower() for pin in spec.input_pins},
+                         outputs={"Y": "y"}, name="u0")
+        dual = expand_to_dual_rail(netlist, negative_gates=negative_gates)
+        assert check_unate_only(dual.netlist).ok, cell_type
+        vectors = np.array(list(itertools.product((0, 1), repeat=spec.num_inputs)),
+                           dtype=np.uint8)
+        planes = {}
+        for column, pin in enumerate(spec.input_pins):
+            rail = dual.input_by_name(pin.lower())
+            planes[rail.pos] = vectors[:, column]
+            planes[rail.neg] = 1 - vectors[:, column]
+        values = BatchBackend(dual.netlist).run_arrays(planes).values
+        expected = np.array([
+            spec.evaluate(dict(zip(spec.input_pins, map(int, row))), None)["Y"]
+            for row in vectors
+        ], dtype=np.uint8)
+        out = dual.output_by_name("y")
+        np.testing.assert_array_equal(values[out.pos], expected, err_msg=cell_type)
+        np.testing.assert_array_equal(values[out.neg], 1 - expected, err_msg=cell_type)

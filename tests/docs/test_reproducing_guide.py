@@ -59,12 +59,17 @@ def test_every_documented_flag_is_a_real_argparse_option():
 
 
 def test_timing_backend_flag_is_documented_on_each_artefact_command():
+    from repro.analysis.measure import TIMING_BACKENDS
+
     example_commands = [
         (t, a) for t, a in guide_commands() if t.startswith("examples/")
     ]
     assert len(example_commands) >= 4
     for target, args in example_commands:
-        assert "--timing-backend" in args, f"{target} command lost --timing-backend"
+        values = re.findall(r"--timing-backend\s+(\S+)", args)
+        assert values, f"{target} command lost --timing-backend"
+        for value in values:
+            assert value in TIMING_BACKENDS, f"{target}: --timing-backend {value}"
 
 
 def test_table1_header_excerpt_matches_formatter():

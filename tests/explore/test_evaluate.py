@@ -86,22 +86,24 @@ def test_vdd_scales_latency():
 
 
 def test_event_and_batch_backends_agree_functionally():
-    batch = evaluate_point(spec_for("dual-rail-reduced"), TINY, backend="batch")
+    hybrid = evaluate_point(spec_for("dual-rail-reduced"), TINY, backend="vectorized")
     event = evaluate_point(spec_for("dual-rail-reduced"), TINY, backend="event")
-    assert batch.hardware_correctness == event.hardware_correctness
-    assert batch.accuracy == event.accuracy
-    assert batch.area_um2 == event.area_um2
-    # The event backend times the full stream; batch times the prefix.
+    assert hybrid.hardware_correctness == event.hardware_correctness
+    assert hybrid.accuracy == event.accuracy
+    assert hybrid.area_um2 == event.area_um2
+    # The event backend times the full stream; the hybrid mode times the prefix.
     assert event.timed_operands == TINY.operands
-    assert batch.timed_operands == TINY.timing_operands
+    assert hybrid.timed_operands == TINY.timing_operands
 
 
-def test_bitpack_point_is_identical_to_batch_point():
-    """The bitpack sweep backend yields the batch backend's record, field for field."""
-    batch = evaluate_point(spec_for("dual-rail-reduced"), TINY, backend="batch")
-    bitpack = evaluate_point(spec_for("dual-rail-reduced"), TINY, backend="bitpack")
-    assert bitpack.backend == "bitpack"
-    assert dataclasses.replace(bitpack, backend="batch") == batch
+def test_synchronous_point_records_the_event_engine_in_every_mode():
+    """A clocked point is always event-simulated, so every mode records that."""
+    default = evaluate_point(spec_for("sync"), TINY)
+    assert (default.backend, default.timing_backend) == ("event", "event")
+    for backend, timing_backend in (("event", "event"), ("vectorized", "vectorized")):
+        point = evaluate_point(spec_for("sync"), TINY, backend=backend,
+                               timing_backend=timing_backend)
+        assert point == default
 
 
 def test_infeasible_point_is_rejected():

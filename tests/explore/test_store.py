@@ -7,6 +7,7 @@ import json
 
 from repro.circuits.library import CellLibrary, CellModel, VoltageModel, umc_ll_library
 from repro.explore import (
+    EVALUATOR_VERSION,
     DesignPoint,
     DesignPointSpec,
     EvaluationSettings,
@@ -94,7 +95,8 @@ def test_key_invalidates_on_settings_backend_and_version_change():
     assert point_key(SPEC, SETTINGS, lib, "event") != base
     # Netlist-generation / measurement code changes are keyed through the
     # evaluator version.
-    assert point_key(SPEC, SETTINGS, lib, "batch", evaluator_version=2) != base
+    assert point_key(SPEC, SETTINGS, lib, "batch",
+                     evaluator_version=EVALUATOR_VERSION + 1) != base
 
 
 def test_key_invalidates_on_library_characterisation_change():

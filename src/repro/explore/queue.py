@@ -401,6 +401,13 @@ class WorkQueue:
         reclaimer can move the file away), carrying the attempt counter
         forward.  A point whose attempts exceed ``max_attempts`` is
         quarantined instead of re-issued.
+
+        A won claim first re-checks the store: another owner may have
+        completed the point since the caller's own store check
+        (``complete`` writes the entry, then unlinks the lease, so the
+        create above succeeds).  Such a claim is given back and ``None``
+        returned; the caller's next store lookup serves the entry, or
+        heals a corrupt one so that its next claim stands.
         """
         if self.is_quarantined(task.key):
             return None
@@ -410,6 +417,8 @@ class WorkQueue:
             attempt=1,
         )
         if self._write_new_lease(lease):
+            if self._completed_meanwhile(task):
+                return None
             self._claimed.inc()
             self._journal("claim", task.key, attempt=1, index=task.index)
             with _trace.span("dse.queue.claim", key=task.key, attempt=1):
@@ -450,9 +459,21 @@ class WorkQueue:
         )
         if not self._write_new_lease(lease):
             return None  # a fresh claimant slipped in after our rename
+        if self._completed_meanwhile(task):
+            return None
         self._claimed.inc()
         self._journal("claim", task.key, attempt=attempt, index=task.index)
         return lease
+
+    def _completed_meanwhile(self, task: QueueTask) -> bool:
+        """Whether *task* already has a store entry; if so, drop the new lease."""
+        if not self.is_done(task.key):
+            return False
+        try:
+            self._lease_path(task.key).unlink()
+        except OSError:  # pragma: no cover - lease already reclaimed
+            pass
+        return True
 
     def heartbeat(self, lease: Lease) -> bool:
         """Extend the lease deadline; ``False`` when ownership was lost."""

@@ -17,6 +17,7 @@ to use which backend.  Summary:
 The vectorized backends additionally expose ``run_timed`` — the
 data-dependent timing engine (:mod:`repro.sim.backends.timed`): per-sample
 arrival times and switching energy for whole batches of handshake cycles,
+computed over the same grouped plan the bitpack kernel runs and
 equivalent to the event-driven environment on monotonic netlists within
 float re-association accuracy (see the module docstring for the contract).
 """
@@ -24,10 +25,8 @@ float re-association accuracy (see the module docstring for the contract).
 from .base import (
     BackendError,
     BatchResult,
-    CellOp,
     SimulationBackend,
     available_backends,
-    bind_cell_ops,
     classify_cell_type,
     get_backend,
     register_backend,
@@ -40,14 +39,12 @@ from .timed import TimedBatchResult, TimedProgram
 
 __all__ = [
     "ArrayBatchResult",
-    "bind_cell_ops",
     "classify_cell_type",
     "BackendError",
     "BackendSession",
     "BatchBackend",
     "BatchResult",
     "BitpackBackend",
-    "CellOp",
     "EventBackend",
     "PackedBatchResult",
     "SimulationBackend",

@@ -34,8 +34,9 @@ importing concrete classes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # Protocol is 3.8+; keep an import guard for exotic interpreters.
     from typing import Protocol, runtime_checkable
@@ -139,28 +140,23 @@ def classify_cell_type(cell_type: str) -> Optional[Tuple[str, Optional[Tuple[int
 
 
 def make_cell_type_compiler(
-    backend_name: str,
     and_fn: Callable,
     or_fn: Callable,
     xor_fn: Callable,
     maj3_fn: Callable,
     c_fn: Callable,
     invert: Callable,
-) -> Callable[[str], Callable]:
-    """Build a ``cell type -> evaluator`` compiler from primitive evaluators.
+) -> Callable[[str, Optional[Tuple[int, ...]]], Callable]:
+    """Build a memoised ``(tag, pin groups) -> evaluator`` compiler.
 
-    The per-cell engines share one cell-type dispatch
-    (:func:`classify_cell_type`: INV/BUF, AND/NAND, OR/NOR, XOR2/XNOR2,
-    MAJ3, C-elements, and the AOI/OAI/AO/OA complex gates with per-digit
-    pin groups); only the primitives differ — the batch backend's operate
-    on ``uint8`` sample arrays, the timed engine's on ``(start, final,
-    arrival)`` triples.  Each ``*_fn`` takes the cell's input values in pin
-    order and returns the output value; *invert* maps an output value to
-    its logical complement.
-
-    The returned compiler raises :class:`BackendError` for cell types it
-    cannot vectorize (the caller's registration name is quoted in the
-    message).
+    The batch reference (per cell) and the timed engine (per plan group)
+    share one dispatch over the :func:`classify_cell_type` shapes (INV/BUF,
+    AND/NAND, OR/NOR, XOR2/XNOR2, MAJ3, C-elements, and the AOI/OAI/AO/OA
+    complex gates with per-digit pin groups); only the primitives differ —
+    the batch backend's operate on ``uint8`` sample arrays, the timed
+    engine's on ``(start, final, arrival)`` triples.  Each ``*_fn`` takes
+    the cell's input values in pin order and returns the output value;
+    *invert* maps an output value to its logical complement.
     """
 
     def grouped(groups: Tuple[int, ...], inner: Callable, outer: Callable,
@@ -179,14 +175,9 @@ def make_cell_type_compiler(
 
         return fn
 
-    def compile_cell_type(cell_type: str) -> Callable:
-        """Return the evaluator for *cell_type* (input order = pin order)."""
-        kind = classify_cell_type(cell_type)
-        if kind is None:
-            raise BackendError(
-                f"{backend_name} backend cannot vectorize cell type {cell_type!r}"
-            )
-        tag, groups = kind
+    @functools.lru_cache(maxsize=None)
+    def compile_shape(tag: str, groups: Optional[Tuple[int, ...]]) -> Callable:
+        """Return the evaluator of dispatch shape ``(tag, groups)`` (pin order)."""
         if tag == "inv":
             return lambda values: invert(values[0])
         if tag == "buf":
@@ -211,52 +202,7 @@ def make_cell_type_compiler(
         inner, outer = (and_fn, or_fn) if inner_and else (or_fn, and_fn)
         return grouped(groups, inner, outer, inverting)
 
-    return compile_cell_type
-
-
-@dataclass
-class CellOp:
-    """One compiled cell of a levelized backend program.
-
-    Evaluation pulls the planes of ``in_nets`` (in the cell type's pin
-    order), applies ``fn`` — whose plane representation is engine-specific
-    (``uint8`` sample arrays for ``"batch"``, ``(start, final, arrival)``
-    triples for the timed engine) — and stores the result as ``out_net``.
-    """
-
-    cell_name: str
-    cell_type: str
-    in_nets: Tuple[str, ...]
-    out_net: str
-    fn: Callable
-
-
-def bind_cell_ops(program, compile_cell_type: Callable[[str], Callable]) -> List[CellOp]:
-    """Bind a backend-neutral :class:`~repro.sim.program.CompiledProgram` to
-    executable :class:`CellOp`\\ s.
-
-    Evaluator functions are memoised per cell type through
-    *compile_cell_type* (one of the :func:`make_cell_type_compiler`
-    instantiations), so the same serialized program serves every per-cell
-    engine — only this binding step is engine-specific.
-    """
-    fn_cache: Dict[str, Callable] = {}
-    ops: List[CellOp] = []
-    for op in program.ops:
-        fn = fn_cache.get(op.cell_type)
-        if fn is None:
-            fn = compile_cell_type(op.cell_type)
-            fn_cache[op.cell_type] = fn
-        ops.append(
-            CellOp(
-                cell_name=op.cell_name,
-                cell_type=op.cell_type,
-                in_nets=op.in_nets,
-                out_net=op.out_net,
-                fn=fn,
-            )
-        )
-    return ops
+    return compile_shape
 
 
 #: name -> factory(netlist, library, vdd) for the built-in backends.

@@ -60,7 +60,7 @@ from ..program import CompiledProgram, compile_program
 from .base import (
     BackendError,
     BatchResult,
-    bind_cell_ops,
+    classify_cell_type,
     make_cell_type_compiler,
     register_backend,
 )
@@ -125,10 +125,9 @@ def _c_element_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.where(all1, _ONE, np.where(all0, _ZERO, X)).astype(np.uint8)
 
 
-#: Cell-type dispatch over the uint8-array primitives (shared shape with
-#: the bitpack backend — see :func:`make_cell_type_compiler`).
-_compile_cell_type = make_cell_type_compiler(
-    "batch",
+#: Dispatch over the uint8-array primitives (shared shape with the timed
+#: engine — see :func:`make_cell_type_compiler`).
+_compile_shape = make_cell_type_compiler(
     and_fn=_and_arrays,
     or_fn=_or_arrays,
     xor_fn=_xor_arrays,
@@ -144,8 +143,8 @@ def normalize_input_planes(
 ) -> Tuple[Dict[str, np.ndarray], int]:
     """Normalize a stimulus mapping into ``uint8`` planes, inferring batch size.
 
-    Shared by every vectorized backend: scalars broadcast over the batch,
-    array lengths must agree, values must be Boolean, and every net must
+    The batch reference's stimulus front end: scalars broadcast over the
+    batch, array lengths must agree, values must be Boolean, and every net must
     exist in *netlist* — either a real :class:`~repro.circuits.netlist.Netlist`
     or a :class:`~repro.sim.program.CompiledProgram` net table (anything
     whose ``.nets`` supports membership).  Returns ``(planes, samples)``.
@@ -291,7 +290,12 @@ class BatchBackend:
         #: The backend-neutral compile artifact this instance executes.
         self.program = program
         self._constants = list(program.constants)
-        self._ops = bind_cell_ops(program, _compile_cell_type)
+        self._ops = []
+        for op in program.ops:
+            kind = classify_cell_type(op.cell_type)
+            if kind is None:  # compile_program validated this; guard anyway
+                raise BackendError(f"batch backend cannot vectorize cell type {op.cell_type!r}")
+            self._ops.append((op, _compile_shape(*kind)))
 
     # ------------------------------------------------------------ planes
     def _input_planes(
@@ -334,9 +338,9 @@ class BatchBackend:
             for net, constant in self._constants:
                 values[net] = np.full(samples, constant, dtype=np.uint8)
         with _trace.span("batch.levels", cells=len(self._ops)):
-            for op in self._ops:
+            for op, fn in self._ops:
                 arrays = [values.get(net, x_plane) for net in op.in_nets]
-                values[op.out_net] = op.fn(arrays)
+                values[op.out_net] = fn(arrays)
             for net in self.program.nets:
                 if net not in values:
                     values[net] = x_plane
@@ -346,7 +350,7 @@ class BatchBackend:
         if baseline is not None:
             with _trace.span("batch.activity"):
                 rest = self.run_arrays(baseline, baseline=None)
-                for op in self._ops:
+                for op, _fn in self._ops:
                     plane = values[op.out_net]
                     rest_value = rest.values[op.out_net][0]
                     toggles = int(np.count_nonzero(
@@ -381,10 +385,10 @@ class BatchBackend:
         phases plus per-sample switching energy — equivalent to the
         event-driven environment on monotonic (dual-rail) netlists within
         float re-association accuracy (see :mod:`repro.sim.backends.timed`
-        for the tolerance contract), at batch-backend throughput.  Requires
+        for the tolerance contract), on the program's grouped plan — the
+        same engine as the bitpack backend's ``run_timed``.  Requires
         the backend to have been built with a characterised library; the
-        compiled program is cached, so repeated calls only pay the array
-        sweeps.
+        bound engine is cached, so repeated calls only pay the sweeps.
 
         Returns a :class:`~repro.sim.backends.timed.TimedBatchResult`.
         """

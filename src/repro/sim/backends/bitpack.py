@@ -200,8 +200,7 @@ class BitpackBackend:
         :class:`~repro.sim.program.CompiledProgram`.
 
     The grouped kernel is fetched (and built, the first time a program is
-    run) on the first :meth:`run_arrays` call, not here: a backend that
-    only serves :meth:`run_timed` never pays for a plan it does not run.
+    run) on first use, not here; :meth:`run_timed` runs the same plan.
     """
 
     name = "bitpack"
@@ -351,8 +350,8 @@ class BitpackBackend:
         """Per-sample arrival times and energy — the masked-lane timed variant.
 
         Arrival times are per-sample ``float64`` quantities, so unlike
-        values they cannot be packed 64-to-a-word; the timed pass therefore
-        runs on dense ``(samples,)`` lanes shared with
+        values they cannot be packed 64-to-a-word; the timed engine runs
+        the grouped plan over dense ``(nets, samples)`` matrices shared with
         :meth:`~repro.sim.backends.batch.BatchBackend.run_timed`.  The
         dense sweep is sized to exactly ``samples`` lanes, which is what
         masks the ragged tail: lanes past the stream length simply do not
@@ -360,7 +359,7 @@ class BitpackBackend:
         percentiles or energy sums the way unmasked packed tail lanes
         could.  Results are bit-identical to the batch backend's for every
         sample count, 64-aligned or not (the equivalence tests pin 1, 63,
-        64, 65 and 1000).
+        64, 65 and 100).
 
         Returns a :class:`~repro.sim.backends.timed.TimedBatchResult`.
         """

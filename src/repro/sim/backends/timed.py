@@ -1,18 +1,19 @@
-"""Vectorized data-dependent timing engine on the levelized compile path.
+"""Vectorized data-dependent timing engine on the grouped plan.
 
 The batch/bitpack backends answer *what* every net settles to, orders of
 magnitude faster than the event simulator — but every timing number in the
 paper's artefacts (Table I latency columns, the Figure-3 curve, the latency
 distributions, the DSE latency/energy axes) is about *when*.  This module
 closes that gap: it computes **per-sample arrival times** for every net of a
-levelized netlist with NumPy array sweeps, so a 10k-operand latency/energy
+compiled program with NumPy array sweeps, so a 10k-operand latency/energy
 measurement costs a handful of vectorized passes instead of 10k event-driven
 handshake cycles.
 
 Measurement model
 -----------------
 One dual-rail handshake cycle has two monotonic phases, each computed as one
-levelized sweep over ``(samples,)`` arrays:
+sweep over the program's :class:`~repro.sim.kernels.GroupedPlan` — the
+per-level, per-shape gather/scatter plan the bitpack kernel runs:
 
 * **spacer→valid** — inputs leave the spacer word at ``t = 0``; every net
   that changes does so exactly once (paper Requirement 2: the mapped
@@ -53,6 +54,18 @@ re-association noise (~1e-14 relative in practice; the equivalence tests
 assert ``rtol=1e-9``, and exact equality on a single gate where both
 origins are zero).
 
+Values and arrivals live in row-per-net matrices: the rest word
+``(nets, 1)``, the valid phase ``(nets, samples)`` and one ``(nets,
+samples)`` arrival matrix per phase.  The rules are elementwise, so each
+evaluates a whole plan group's gathered ``(cells, samples)`` pin columns
+in one call.  The rest word is settled first.  The forward sweep then
+settles the valid values and their arrivals; the backward sweep reads both
+settled matrices and writes only arrivals.  A sweep reads whether an
+output changes from its settled rows, so the rules compute no start
+values, except for the inner terms of complex gates (AOI/OAI/AO/OA), which
+are not nets.  Samples are independent, so running them in blocks of
+:data:`_BLOCK` columns (which keeps temporaries cache-sized) is exact.
+
 Energy
 ------
 A cell whose valid-phase value differs from its spacer rest value toggles
@@ -75,15 +88,16 @@ sets.  Results come back as a :class:`TimedBatchResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.gates import LogicValue
 from repro.obs import trace as _trace
 
+from ..kernels import activity_dicts, bulk_stimulus_matrix, fused_kernel
 from ..program import CompiledProgram
-from .base import BackendError, bind_cell_ops, make_cell_type_compiler
+from .base import BackendError, make_cell_type_compiler
 from .batch import (
     X,
     _NOT_LUT,
@@ -92,7 +106,6 @@ from .batch import (
     _maj3_arrays,
     _or_arrays,
     _xor_arrays,
-    normalize_input_planes,
 )
 
 #: Sentinel for "cannot determine the output" in controlling-value minima;
@@ -100,13 +113,16 @@ from .batch import (
 #: has no output transition).
 _NEVER = np.float64(np.inf)
 
-#: A net's timed state: ``(start values, final values, arrival times)``.
-#: ``start``/``final`` are ``uint8`` planes (2 = X), ``arrival`` is a
-#: ``float64`` plane holding the transition time of each sample — ``0.0``
-#: for samples whose value does not change this phase.  Planes may be
-#: shape ``(1,)`` when constant across the batch; NumPy broadcasting keeps
-#: the math uniform.
-TimedPlanes = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Sample columns per sweep block.
+_BLOCK = 1024
+
+#: One pin's timed state in a sweep: ``(start values, final values, arrival
+#: times)`` over a group's gathered ``(cells, samples)`` columns —
+#: ``uint8`` values (2 = X; the rest word's columns are ``(cells, 1)``) and
+#: ``float64`` arrivals, ``0.0`` for samples whose value does not change
+#: this phase.  NumPy broadcasting keeps the math uniform.  ``None`` start
+#: values ask a rule for its unmasked arrival (:func:`_start_and_mask`).
+TimedPlanes = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
 
 
 def _changed(start: np.ndarray, final: np.ndarray) -> np.ndarray:
@@ -114,9 +130,18 @@ def _changed(start: np.ndarray, final: np.ndarray) -> np.ndarray:
     return (start != final) & (start != X) & (final != X)
 
 
-def _mask(start: np.ndarray, final: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Zero the arrival of samples that do not transition (or are unknown)."""
-    return np.where(_changed(start, final), t, 0.0)
+def _start_and_mask(
+    value_fn, starts: Sequence[Optional[np.ndarray]], final: np.ndarray, t: np.ndarray,
+) -> TimedPlanes:
+    """Finish a rule: its start values, and *t* zeroed where it does not transition.
+
+    Without start values (``None``) the caller knows them already: *t* is
+    returned unmasked, for the caller to mask with its settled rows.
+    """
+    if starts[0] is None:
+        return None, final, t
+    start = value_fn(starts)
+    return start, final, np.where(_changed(start, final), t, 0.0)
 
 
 def _last_arrival(arrivals: Sequence[np.ndarray]) -> np.ndarray:
@@ -161,32 +186,26 @@ def _second_arrival_at(
 
 def _timed_and(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed three-valued AND: a 0 propagates early, a 1 waits for all."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _and_arrays(starts)
+    starts, finals, arrivals = zip(*planes)
     final = _and_arrays(finals)
     t = np.where(
         final == 0,
         _first_arrival_at(finals, arrivals, 0),
         _last_arrival(arrivals),
     )
-    return start, final, _mask(start, final, t)
+    return _start_and_mask(_and_arrays, starts, final, t)
 
 
 def _timed_or(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed three-valued OR: a 1 propagates early, a 0 waits for all."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _or_arrays(starts)
+    starts, finals, arrivals = zip(*planes)
     final = _or_arrays(finals)
     t = np.where(
         final == 1,
         _first_arrival_at(finals, arrivals, 1),
         _last_arrival(arrivals),
     )
-    return start, final, _mask(start, final, t)
+    return _start_and_mask(_or_arrays, starts, final, t)
 
 
 def _timed_xor(planes: Sequence[TimedPlanes]) -> TimedPlanes:
@@ -197,47 +216,36 @@ def _timed_xor(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     output — impossible in unate-mapped dual-rail netlists, which contain
     no XOR cells; the rule is the settle time for any other caller).
     """
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _xor_arrays(starts)
+    starts, finals, arrivals = zip(*planes)
     final = _xor_arrays(finals)
-    return start, final, _mask(start, final, _last_arrival(arrivals))
+    return _start_and_mask(_xor_arrays, starts, final, _last_arrival(arrivals))
 
 
 def _timed_maj3(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed 3-input majority: decided by the second input to agree."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _maj3_arrays(starts)
+    starts, finals, arrivals = zip(*planes)
     final = _maj3_arrays(finals)
     t = _second_arrival_at(finals, arrivals, final)
-    return start, final, _mask(start, final, t)
+    return _start_and_mask(_maj3_arrays, starts, final, t)
 
 
 def _timed_c(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed C-element: switches only when the *last* input agrees."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _c_element_arrays(starts)
+    starts, finals, arrivals = zip(*planes)
     final = _c_element_arrays(finals)
-    return start, final, _mask(start, final, _last_arrival(arrivals))
+    return _start_and_mask(_c_element_arrays, starts, final, _last_arrival(arrivals))
 
 
 def _timed_not(plane: TimedPlanes) -> TimedPlanes:
     """Timed inversion: values complement, the arrival is untouched."""
     start, final, arrival = plane
-    return _NOT_LUT[start], _NOT_LUT[final], arrival
+    return (None if start is None else _NOT_LUT[start]), _NOT_LUT[final], arrival
 
 
-#: Cell-type dispatch over the timed (start, final, arrival) primitives —
-#: the same compiler shape the batch and bitpack backends use, so complex
-#: AOI/OAI/AO/OA gates compose group-wise with zero per-group delay (one
-#: cell, one delay).
-_compile_cell_type = make_cell_type_compiler(
-    "timed",
+#: Dispatch over the timed (start, final, arrival) rules, bound per plan
+#: group, so complex AOI/OAI/AO/OA gates compose group-wise with zero
+#: per-group delay (one cell, one delay).
+_compile_shape = make_cell_type_compiler(
     and_fn=_timed_and,
     or_fn=_timed_or,
     xor_fn=_timed_xor,
@@ -247,13 +255,32 @@ _compile_cell_type = make_cell_type_compiler(
 )
 
 
+class NetRows(Mapping):
+    """Read-only ``net → (samples,) row`` view over a ``(nets, samples)`` matrix."""
+
+    __slots__ = ("matrix", "index")
+
+    def __init__(self, matrix: np.ndarray, index: Dict[str, int]) -> None:
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.index = index
+
+    def __getitem__(self, net: str) -> np.ndarray:
+        return self.matrix[self.index[net]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 @dataclass
 class TimedBatchResult:
     """Per-sample timing, values and energy of a batch of handshake cycles.
 
-    All per-net planes may be shape ``(1,)`` when constant across the batch
-    (NumPy broadcasting); use :meth:`arrival_of` / :meth:`max_arrival` for a
-    uniform ``(samples,)`` view.
+    The per-net fields are read-only :class:`NetRows` views over the
+    engine's matrices: every row is a full ``(samples,)`` array.
 
     Attributes
     ----------
@@ -283,16 +310,16 @@ class TimedBatchResult:
     """
 
     samples: int
-    values: Dict[str, np.ndarray]
+    values: NetRows
     spacer_values: Dict[str, LogicValue]
-    arrival_valid: Dict[str, np.ndarray]
-    arrival_reset: Dict[str, np.ndarray]
+    arrival_valid: NetRows
+    arrival_reset: NetRows
     energy_per_sample_fj: np.ndarray
     activity_by_cell: Dict[str, int] = field(default_factory=dict)
     activity_by_cell_type: Dict[str, int] = field(default_factory=dict)
     vdd: float = 0.0
 
-    def _phase(self, phase: str) -> Dict[str, np.ndarray]:
+    def _phase(self, phase: str) -> NetRows:
         if phase == "valid":
             return self.arrival_valid
         if phase == "reset":
@@ -300,9 +327,8 @@ class TimedBatchResult:
         raise ValueError(f"unknown phase {phase!r}; expected 'valid' or 'reset'")
 
     def arrival_of(self, net: str, phase: str = "valid") -> np.ndarray:
-        """Arrival plane of *net*, broadcast to a full ``(samples,)`` array."""
-        plane = self._phase(phase)[net]
-        return np.broadcast_to(plane, (self.samples,))
+        """Arrival row of *net*: a ``(samples,)`` array."""
+        return self._phase(phase)[net]
 
     def max_arrival(self, nets: Sequence[str], phase: str = "valid") -> np.ndarray:
         """Per-sample latest arrival over *nets* — e.g. the output rails.
@@ -311,11 +337,9 @@ class TimedBatchResult:
         paper's per-operand spacer→valid latency ``t(S→V)``; with
         ``phase="reset"`` it is the output reset time ``t(V→S)``.
         """
-        arrivals = self._phase(phase)
-        worst = np.zeros(1, dtype=np.float64)
-        for net in nets:
-            worst = np.maximum(worst, arrivals[net])
-        return np.broadcast_to(worst, (self.samples,))
+        rows = self._phase(phase)
+        picked = rows.matrix[[rows.index[net] for net in nets]]
+        return picked.max(axis=0, initial=0.0)
 
     def settle_time(self, phase: str = "valid") -> np.ndarray:
         """Per-sample time of the last transition anywhere in the netlist.
@@ -325,7 +349,7 @@ class TimedBatchResult:
         reset-phase settle time is the paper's internal reset time that the
         grace period ``td`` must cover.
         """
-        return self.max_arrival(list(self._phase(phase)), phase)
+        return self._phase(phase).matrix.max(axis=0, initial=0.0)
 
     @property
     def transitions(self) -> int:
@@ -359,8 +383,9 @@ def backend_run_timed(
 class TimedProgram:
     """A compiled program bound for vectorized per-sample timing evaluation.
 
-    Binds once (per-cell evaluators plus per-instance delays) and then runs
-    any number of stimulus batches through :meth:`run`.
+    Binds once (the program's grouped plan, shared with the bitpack kernel,
+    plus one rule and one ``(cells, 1)`` delay column per group) and then
+    runs any number of stimulus batches through :meth:`run`.
 
     Parameters
     ----------
@@ -399,47 +424,55 @@ class TimedProgram:
         self.vdd = program.vdd
         #: The backend-neutral compile artifact this engine executes.
         self.program = program
-        self._constants = list(program.constants)
-        self._ops = bind_cell_ops(program, _compile_cell_type)
-        variation = dict(delay_variation or {})
-        self._delays: List[float] = [
-            op.delay_ps * variation.get(op.cell_name, 1.0) if variation
-            else op.delay_ps
-            for op in program.ops
+        self.plan = plan = fused_kernel(program).plan
+        delay = np.zeros(plan.num_nets)  # per driven net row
+        delay[plan.out_idx] = [op.delay_ps for op in program.ops]
+        if delay_variation:
+            delay[plan.out_idx] *= [delay_variation.get(n, 1.0) for n in plan.cell_names]
+        self._energies = 2.0 * np.array([op.energy_fj for op in program.ops]).reshape(-1, 1)
+        # A complex gate's inner terms need their own start values to mask
+        # their arrivals; every other shape is masked by its settled rows.
+        self._groups = [
+            (group, _compile_shape(group.tag, group.pin_groups),
+             delay[group.out_idx, None], group.pin_groups is None)
+            for level in plan.levels
+            for group in level
         ]
-        self._energies: List[float] = [2.0 * op.energy_fj for op in program.ops]
+        ties = program.constants
+        self._tie_rows = [plan.net_index[net] for net, _ in ties]
+        self._tie_values = np.array([value for _, value in ties], dtype=np.uint8).reshape(-1, 1)
 
-    def _phase_sweep(
-        self,
-        start_inputs: Dict[str, np.ndarray],
-        final_inputs: Dict[str, np.ndarray],
-        samples: int,
-    ) -> Dict[str, TimedPlanes]:
-        """One levelized sweep: (start, final, arrival) planes for every net."""
-        x1 = np.full(1, X, dtype=np.uint8)
-        zero1 = np.zeros(1, dtype=np.float64)
-        x_triple: TimedPlanes = (x1, x1, zero1)
-        planes: Dict[str, TimedPlanes] = {}
-        driven = set(start_inputs) | set(final_inputs)
-        for name in self.program.primary_inputs:
-            driven.add(name)
-        for name in driven:
-            planes[name] = (
-                start_inputs.get(name, x1),
-                final_inputs.get(name, x1),
-                zero1,
-            )
-        for net, constant in self._constants:
-            value = np.full(1, constant, dtype=np.uint8)
-            planes[net] = (value, value, zero1)
-        for op, delay in zip(self._ops, self._delays):
-            start, final, t = op.fn([planes.get(net, x_triple) for net in op.in_nets])
-            arrival = np.where(_changed(start, final), t + delay, 0.0)
-            planes[op.out_net] = (start, final, arrival)
-        for net in self.program.nets:
-            if net not in planes:
-                planes[net] = x_triple
-        return planes
+    def _value_matrix(self, inputs: Mapping) -> Tuple[np.ndarray, int]:
+        """``(nets, samples)`` values: stimulus and TIE rows, X elsewhere."""
+        plan = self.plan
+        rows, stacked, samples = bulk_stimulus_matrix(inputs, plan.net_index, 1)
+        matrix = np.full((plan.num_nets, samples), X, dtype=np.uint8)
+        matrix[rows] = stacked
+        matrix[self._tie_rows] = self._tie_values
+        return matrix, samples
+
+    def _settle_rest(self, rest: np.ndarray) -> None:
+        """Settle the rest word ``(nets, 1)`` in place (values only)."""
+        for group, rule, _delay, _flat in self._groups:
+            rest[group.out_idx] = rule([(None, rest[col], 0.0) for col in group.in_cols])[1]
+
+    def _sweep(self, start: np.ndarray, final: np.ndarray, arrival: np.ndarray,
+               settle: bool) -> None:
+        """One phase over the grouped plan from the settled *start* values.
+
+        Writes the arrivals in place and, with *settle*, the *final* values
+        too (otherwise they are already settled and only re-derived where
+        a rule needs them).
+        """
+        for group, rule, delay, flat in self._groups:
+            _, f, t = rule([
+                (None if flat else start[col], final[col], arrival[col])
+                for col in group.in_cols
+            ])
+            out = group.out_idx
+            if settle:
+                final[out] = f
+            arrival[out] = np.where(_changed(start[out], f), t + delay, 0.0)
 
     def run(
         self,
@@ -459,53 +492,46 @@ class TimedProgram:
             to (for dual-rail circuits,
             :func:`repro.analysis.measure.spacer_assignments`).
         """
+        plan = self.plan
         with _trace.span("timed.run") as run_span:
-            valid_planes, samples = normalize_input_planes(self.program, inputs)
+            valid, samples = self._value_matrix(inputs)
             run_span.add(samples=samples)
-            spacer_planes, _ = normalize_input_planes(
-                self.program, {net: np.asarray([int(v)], dtype=np.uint8)
-                               for net, v in spacer.items()}
+            rest, _ = self._value_matrix(
+                {net: int(value) for net, value in spacer.items()}
             )
+            arrival_valid = np.zeros((plan.num_nets, samples), dtype=np.float64)
+            arrival_reset = np.zeros((plan.num_nets, samples), dtype=np.float64)
+            blocks = [slice(lo, lo + _BLOCK) for lo in range(0, samples, _BLOCK)]
             with _trace.span("timed.forward"):
-                forward = self._phase_sweep(spacer_planes, valid_planes, samples)
+                self._settle_rest(rest)
+                for block in blocks:
+                    self._sweep(rest, valid[:, block], arrival_valid[:, block], True)
             with _trace.span("timed.backward"):
-                backward = self._phase_sweep(valid_planes, spacer_planes, samples)
+                for block in blocks:
+                    self._sweep(valid[:, block], rest, arrival_reset[:, block], False)
 
-            values: Dict[str, np.ndarray] = {}
-            spacer_values: Dict[str, LogicValue] = {}
-            arrival_valid: Dict[str, np.ndarray] = {}
-            arrival_reset: Dict[str, np.ndarray] = {}
-            for net in self.program.nets:
-                start, final, arrival = forward[net]
-                values[net] = np.ascontiguousarray(
-                    np.broadcast_to(final, (samples,))
-                )
-                rest = int(start[0])  # spacer-side planes are always shape (1,)
-                spacer_values[net] = None if rest == int(X) else rest
-                arrival_valid[net] = arrival
-                arrival_reset[net] = backward[net][2]
-
+            out = plan.out_idx
             energy = np.zeros(samples, dtype=np.float64)
-            activity_by_cell: Dict[str, int] = {}
-            activity_by_type: Dict[str, int] = {}
-            for op, per_toggle in zip(self._ops, self._energies):
-                start, final, _arrival = forward[op.out_net]
-                toggled = _changed(start, final)
-                toggles = int(np.count_nonzero(np.broadcast_to(toggled, (samples,))))
-                if toggles:
-                    transitions = 2 * toggles
-                    activity_by_cell[op.cell_name] = transitions
-                    activity_by_type[op.cell_type] = (
-                        activity_by_type.get(op.cell_type, 0) + transitions
-                    )
-                    if per_toggle:
-                        energy += np.where(toggled, per_toggle, 0.0)
+            toggles = np.zeros(plan.num_cells, dtype=np.int64)
+            for block in blocks:
+                toggled = _changed(rest[out], valid[out, block])
+                toggles += toggled.sum(axis=1)
+                if plan.num_cells:
+                    # Sum in op order at every batch size: cumsum is
+                    # sequential, .sum(axis=0) is pairwise at one sample.
+                    spent = toggled * self._energies
+                    energy[block] = np.cumsum(spent, axis=0, out=spent)[-1]
+            activity_by_cell, activity_by_type = activity_dicts(plan, toggles, 2)
+            spacer_values: Dict[str, LogicValue] = {
+                net: None if value == int(X) else value
+                for net, value in zip(plan.net_index, rest[:, 0].tolist())
+            }
         return TimedBatchResult(
             samples=samples,
-            values=values,
+            values=NetRows(valid, plan.net_index),
             spacer_values=spacer_values,
-            arrival_valid=arrival_valid,
-            arrival_reset=arrival_reset,
+            arrival_valid=NetRows(arrival_valid, plan.net_index),
+            arrival_reset=NetRows(arrival_reset, plan.net_index),
             energy_per_sample_fj=energy,
             activity_by_cell=activity_by_cell,
             activity_by_cell_type=activity_by_type,

@@ -16,7 +16,8 @@ evaluates the whole group at once.  Values live in one ``(num_nets,
 words)`` matrix per bit-plane instead of a ``net → array`` dict; gathers
 and scatters are NumPy fancy indexing on row indices.  Execution is a
 small interpreter: one Python dispatch per *group* per level, with the
-per-group evaluators below doing all the math.
+per-group evaluators below doing all the math.  The timed engine
+(:mod:`repro.sim.backends.timed`) runs the same plan with its own rules.
 
 The engine is **bit-identical** to the looped dense interpreter of
 :class:`~repro.sim.backends.batch.BatchBackend` (and therefore to the event
@@ -507,8 +508,17 @@ def grouped_bitpack_activity(
     at_zero = np.nonzero(rest_zero & ~rest_one)[0]
     toggles[at_one] = _popcount_rows(zeros[out[at_one]])
     toggles[at_zero] = _popcount_rows(ones[out[at_zero]])
-    # Only cells that toggled get entries (matching the looped accounting);
-    # the per-type aggregation is one bincount over precomputed type codes.
+    return activity_dicts(plan, toggles, transitions_per_toggle)
+
+
+def activity_dicts(
+    plan: GroupedPlan, toggles: np.ndarray, transitions_per_toggle: int,
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """The activity dict pair of per-op toggle counts (program op order).
+
+    Only cells that toggled get entries (matching the looped accounting);
+    the per-type aggregation is one bincount over precomputed type codes.
+    """
     nz = np.nonzero(toggles)[0]
     scaled = toggles[nz] * transitions_per_toggle
     names = plan.cell_names

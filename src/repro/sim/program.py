@@ -16,9 +16,9 @@ factors that work into one **serializable, backend-neutral artifact**:
     was characterised against, and a compiler version stamp.
 
 The artifact is deliberately free of callables: engines bind their own
-evaluators from the cell-type tags, per cell
-(:func:`repro.sim.backends.base.bind_cell_ops`) or per group of same-shaped
-cells (:func:`repro.sim.kernels.build_grouped_plan`).  One program, possibly
+evaluators from the cell-type tags, per cell (the batch reference) or per
+group of same-shaped cells (:func:`repro.sim.kernels.build_grouped_plan`,
+which the bitpack kernel and the timed engine run).  One program, possibly
 loaded from the on-disk :mod:`repro.sim.program_cache`, therefore serves the
 batch, bitpack and timed engines alike, and round-trips exactly through JSON
 (:meth:`CompiledProgram.to_dict` / :meth:`CompiledProgram.from_dict`).

@@ -169,15 +169,29 @@ def test_timed_path_raises_on_output_stuck_at_spacer(umc):
 
 
 @pytest.mark.parametrize("timing_backend", ["batch", "bitpack"])
-def test_timed_run_builds_no_grouped_plan(workload, umc, monkeypatch, timing_backend):
-    """The timed engine never runs the grouped kernel, so it never builds one.
+def test_timed_run_and_run_arrays_share_one_grouped_plan(
+    workload, umc, monkeypatch, timing_backend
+):
+    """The timed engine runs the program's grouped plan, built once per program.
 
-    Each DSE point times its stream through a freshly constructed backend;
-    a plan built there would be thrown away unused.  The old spellings
-    ``"batch"`` and ``"bitpack"`` route a measurement onto the same engine.
+    ``run_timed`` and the bitpack kernel's ``run_arrays`` share the
+    per-program plan memo, so one backend serving both builds one plan.
+    The old spellings ``"batch"`` and ``"bitpack"`` route a measurement
+    onto the same engine.
     """
-    from repro.analysis.measure import build_mapped_dual_rail, timed_dual_rail_run
-    from repro.sim import kernels
+    from repro.analysis.measure import (
+        build_mapped_dual_rail,
+        spacer_assignments,
+        timed_dual_rail_run,
+        workload_input_planes,
+    )
+    from repro.sim import get_backend, kernels
+
+    mapped = build_mapped_dual_rail(workload.config, umc)
+    run = timed_dual_rail_run(mapped, workload)
+    assert len(run.results) == workload.num_operands
+    measurement = measure_dual_rail(workload, umc, timing_backend=timing_backend)
+    assert measurement.latencies_ps == [r.t_s_to_v for r in run.results]
 
     built = []
     original = kernels.build_grouped_plan
@@ -187,12 +201,13 @@ def test_timed_run_builds_no_grouped_plan(workload, umc, monkeypatch, timing_bac
         return original(program)
 
     monkeypatch.setattr(kernels, "build_grouped_plan", counting)
-    mapped = build_mapped_dual_rail(workload.config, umc)
-    run = timed_dual_rail_run(mapped, workload)
-    assert len(run.results) == workload.num_operands
-    measurement = measure_dual_rail(workload, umc, timing_backend=timing_backend)
-    assert measurement.latencies_ps == [r.t_s_to_v for r in run.results]
-    assert built == []
+    backend = get_backend(timing_backend, mapped.circuit.netlist, umc)
+    planes = workload_input_planes(mapped.circuit, mapped.datapath, workload)
+    spacer = spacer_assignments(mapped.circuit)
+    backend.run_timed(planes, spacer)
+    backend.run_arrays(planes, baseline=spacer)
+    backend.run_timed(planes, spacer)
+    assert built == [backend.program]
 
 
 def test_unknown_timing_backend_is_rejected(workload, umc, tmp_path):

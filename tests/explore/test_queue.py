@@ -15,12 +15,10 @@ import time
 import pytest
 
 from repro.explore import (
-    EvaluationSettings,
     ResultStore,
     front_csv,
     journal_events,
     journal_stats,
-    named_grid,
     pareto_front,
     parse_metric,
     parse_shard,
@@ -127,6 +125,88 @@ def test_failed_release_counts_attempts_across_owners(tmp_path):
     assert a.is_quarantined(task.key)
     records = a.quarantined()
     assert len(records) == 1 and records[0]["attempts"] == 3
+
+
+# ------------------------------------------- store check vs claim window
+
+
+class _RacedStore(ResultStore):
+    """A store whose first lookup misses while another owner finishes.
+
+    It reproduces, deterministically, the window between a caller's store
+    check and its claim: owner ``a`` claims, evaluates and completes the
+    point (``complete`` writes the entry, then unlinks the lease), so the
+    caller's ``O_EXCL`` claim that follows finds no lease in its way.
+    """
+
+    def __init__(self, directory, task, evaluations):
+        super().__init__(directory)
+        self._task = task
+        self._evaluations = evaluations
+        self._raced = False
+
+    def get(self, key):
+        point = super().get(key)
+        if not self._raced:
+            self._raced = True
+            rival = WorkQueue(self.directory, owner="a")
+            lease = rival.try_claim(self._task)
+            self._evaluations.append("a")
+            rival.complete(
+                lease,
+                fake_evaluate(self._task.spec, FAST_SETTINGS, "vectorized",
+                              "vectorized"),
+                ResultStore(self.directory),
+            )
+        return point
+
+
+def _assert_evaluated_once(store_dir, task, evaluations):
+    assert evaluations == ["a"]
+    stats = journal_stats(journal_events(store_dir))
+    assert stats["claims"] == 1
+    assert stats["completes"] == 1
+    assert stats["duplicate_completes"] == 0
+    assert not (WorkQueue(store_dir).leases_dir / f"{task.key}.json").exists()
+
+
+def test_load_or_compute_after_a_racing_complete_does_not_re_evaluate(tmp_path):
+    write_manifest(tmp_path, smoke_specs(1), settings=FAST_SETTINGS)
+    queue = WorkQueue(tmp_path, owner="b")
+    task = queue.tasks()[0]
+    evaluations = []
+
+    def compute(spec):
+        evaluations.append("b")
+        return fake_evaluate(spec, FAST_SETTINGS, "vectorized", "vectorized")
+
+    store = _RacedStore(tmp_path, task, evaluations)
+    point, computed = queue.load_or_compute(task, compute, store, timeout=10.0)
+    assert not computed
+    assert point.to_dict() == ResultStore(tmp_path).get(task.key).to_dict()
+    _assert_evaluated_once(tmp_path, task, evaluations)
+
+
+def test_worker_after_a_racing_complete_does_not_re_evaluate(tmp_path, monkeypatch):
+    from repro.explore import queue as queue_module
+
+    write_manifest(tmp_path, smoke_specs(1), settings=FAST_SETTINGS)
+    task = WorkQueue(tmp_path).tasks()[0]
+    evaluations = []
+
+    def evaluator(spec, settings, backend, timing_backend, program_cache=None):
+        evaluations.append("b")
+        return fake_evaluate(spec, settings, backend, timing_backend)
+
+    monkeypatch.setattr(
+        queue_module, "ResultStore",
+        lambda directory: _RacedStore(directory, task, evaluations),
+    )
+    report = DseWorker(
+        store_dir=tmp_path, owner="b", evaluator=evaluator, poll_interval=0.01,
+    ).run()
+    assert report.completed == 0
+    _assert_evaluated_once(tmp_path, task, evaluations)
 
 
 # ------------------------------------------------- sharding determinism

@@ -5,8 +5,15 @@ grouped kernel engine (:mod:`repro.sim.kernels`) is **bit-identical** to the
 batch backend's looped reference interpreter — settled net values *and*
 switching-activity counts — and both agree with the event-driven reference
 on settled values.  (Event-simulator activity is glitch-inclusive by
-design, so transition counts are cross-checked between the vectorized
-engines only; see :meth:`repro.sim.backends.event.EventBackend.run_batch`.)
+design, so functional transition counts are cross-checked between the
+vectorized engines only; see :meth:`repro.sim.backends.event.EventBackend.run_batch`.)
+
+The timed engine (``run_timed``) is held to the event simulator itself on
+the mapped variants of the same shapes: per-operand latencies, reset times
+and cycle energies at ``rtol=1e-9``, committed transitions per cell
+exactly (hazard freedom: a monotonic dual-rail netlist toggles each cell at
+most once per phase), and every arrival within its STA bound, with and
+without per-instance delay variation.
 
 Each seed deterministically derives a datapath shape (width, clause count,
 completion scheme, gate style, library, mapped or structural netlist) and a
@@ -18,23 +25,46 @@ print the offending seed and the ``program_hash`` so a case can be replayed
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.analysis.measure import (
     build_mapped_dual_rail,
+    random_workload,
     spacer_assignments,
+    workload_input_planes,
 )
 from repro.circuits import full_diffusion_library, umc_ll_library
+from repro.core.completion import GracePeriod
 from repro.datapath.datapath import DatapathConfig, DualRailDatapath
 from repro.sim import compile_program
 from repro.sim.backends import EventBackend
 from repro.sim.backends.batch import BatchBackend
 from repro.sim.backends.bitpack import BitpackBackend
+from repro.sim.handshake import DualRailEnvironment
+from repro.sim.power import PowerAccountant
+from repro.sim.simulator import GateLevelSimulator
+from repro.sim.sta import static_timing_analysis
 
 #: The fixed seed matrix CI replays (kernel-smoke job).  Each seed is an
 #: independent random netlist + stimulus; extend the list to widen the net.
 FUZZ_SEEDS = [101, 202, 303, 404]
+
+#: Seeds whose mapped netlists the timed engine is replayed on against the
+#: event simulator.  Together they span both libraries, all three
+#: completion schemes, ``negative_gates`` on and off, and latched and
+#: unlatched inputs (pinned by ``test_timed_fuzz_seeds_span_the_shape_space``).
+TIMED_FUZZ_SEEDS = [101, 202, 303, 404, 505, 707]
+
+#: Operands per timed case (each is one full event-driven handshake).
+TIMED_OPERANDS = 6
+
+#: Timed-vs-event tolerance: both engines add the same delays, but the event
+#: simulator accumulates absolute timestamps (float re-association noise).
+TIMED_RTOL = 1e-9
 
 #: Batch sizes covering the bitpack lane boundaries (1 word, word-1,
 #: exactly one word, word+1, many ragged words).
@@ -46,8 +76,8 @@ _LIBRARIES = {
 }
 
 
-def _fuzz_case(seed):
-    """Deterministically derive one random netlist + stimulus from *seed*."""
+def _fuzz_shape(seed):
+    """The datapath configuration and library *seed* draws (plus its rng)."""
     rng = np.random.default_rng(seed)
     config = DatapathConfig(
         num_features=int(rng.integers(2, 5)),
@@ -57,7 +87,12 @@ def _fuzz_case(seed):
         completion=[None, "reduced", "full"][int(rng.integers(0, 3))],
     )
     library_name = ["umc", "full_diffusion"][int(rng.integers(0, 2))]
-    library = _LIBRARIES[library_name]()
+    return rng, config, _LIBRARIES[library_name]()
+
+
+def _fuzz_case(seed):
+    """Deterministically derive one random netlist + stimulus from *seed*."""
+    rng, config, library = _fuzz_shape(seed)
     if rng.integers(0, 2):
         # Technology-mapped variant (synthesized, interface re-bound).
         circuit = build_mapped_dual_rail(config, library).circuit
@@ -160,3 +195,136 @@ def test_event_reference_agrees_on_settled_values(seed):
             assert engine.evaluate(assignments) == expected, _context(
                 seed, program, f"event vs {engine.name} on sample {k}"
             )
+
+
+# ---------------------------------------------------------------------------
+# The timed engine against the event simulator.
+# ---------------------------------------------------------------------------
+
+
+def test_timed_fuzz_seeds_span_the_shape_space():
+    """The timed seed list covers every library, scheme and gate style."""
+    shapes = [_fuzz_shape(seed)[1:] for seed in TIMED_FUZZ_SEEDS]
+    assert {library.name for _, library in shapes} == {"UMC LL", "FULL DIFFUSION"}
+    assert {config.completion for config, _ in shapes} == {None, "reduced", "full"}
+    assert {config.negative_gates for config, _ in shapes} == {False, True}
+    assert {config.latch_inputs for config, _ in shapes} == {False, True}
+
+
+def _event_run(mapped, workload, variation):
+    """Drive *workload* through the event environment; ``(sim, results)``."""
+    simulator = GateLevelSimulator(
+        mapped.circuit.netlist, mapped.library, vdd=mapped.vdd,
+        delay_variation=variation,
+    )
+    environment = DualRailEnvironment(
+        mapped.circuit, simulator, grace_period=mapped.grace.td
+    )
+    environment.reset()
+    results = [
+        environment.infer(
+            mapped.datapath.operand_assignments(features, workload.exclude)
+        )
+        for features in workload.feature_vectors
+    ]
+    return simulator, results
+
+
+def _reduced_cd_bound(circuit, report):
+    """``t_io + td`` of the reduced completion scheme under *report*'s delays."""
+    io = set(circuit.all_output_rails()) | {circuit.done_net} - {None}
+    t_io = max((report.arrival.get(n, 0.0) for n in io), default=0.0)
+    t_int = max(
+        (report.arrival.get(n, 0.0) for n in circuit.netlist.nets if n not in io),
+        default=0.0,
+    )
+    return GracePeriod(t_int=t_int, t_io=t_io, vdd=report.vdd).t_done_fall
+
+
+@pytest.mark.parametrize("varied", [False, True], ids=["nominal", "variation"])
+@pytest.mark.parametrize("seed", TIMED_FUZZ_SEEDS)
+def test_timed_engine_matches_event_simulator(seed, varied):
+    """``run_timed`` ≡ the event environment on a random mapped datapath."""
+    _, config, library = _fuzz_shape(seed)
+    mapped = build_mapped_dual_rail(config, library)
+    circuit = mapped.circuit
+    netlist = circuit.netlist
+    workload = dataclasses.replace(
+        random_workload(
+            config.num_features, config.clauses_per_polarity,
+            num_operands=TIMED_OPERANDS, seed=seed,
+        ),
+        config=config,
+    )
+    variation = None
+    if varied:
+        spread = np.random.default_rng(seed + 1)
+        variation = {
+            cell.name: float(spread.uniform(0.8, 1.25))
+            for cell in netlist.iter_cells()
+        }
+    simulator, results = _event_run(mapped, workload, variation)
+    backend = BitpackBackend(netlist, library, vdd=mapped.vdd)
+    timed = backend.run_timed(
+        workload_input_planes(circuit, mapped.datapath, workload),
+        spacer_assignments(circuit),
+        delay_variation=variation,
+    )
+    program = backend.program
+
+    def check(actual, expected, what):
+        np.testing.assert_allclose(
+            actual, expected, rtol=TIMED_RTOL,
+            err_msg=_context(seed, program, f"{what} (variation={varied})"),
+        )
+
+    rails = circuit.all_output_rails()
+    check(timed.max_arrival(rails, "valid"), [r.t_s_to_v for r in results],
+          "t(S->V)")
+    check(timed.max_arrival(rails, "reset"), [r.t_v_to_s for r in results],
+          "t(V->S)")
+    check(timed.settle_time("reset"), [r.t_internal_reset for r in results],
+          "internal reset")
+    if circuit.done_net is not None:
+        check(timed.arrival_of(circuit.done_net, "valid"),
+              [r.done_rise - r.t_start for r in results], "done rise")
+
+    accountant = PowerAccountant(netlist, library, vdd=mapped.vdd)
+    bounds = [r.t_start for r in results] + [simulator.time]
+    check(
+        timed.energy_per_sample_fj,
+        [
+            accountant.energy_of_window(simulator, lo, hi).total_fj
+            for lo, hi in zip(bounds, bounds[1:])
+        ],
+        "cycle energy",
+    )
+
+    # Hazard freedom: every committed event transition is one the timed
+    # engine counts (two per toggling cell per handshake), no more.
+    committed = Counter(
+        record.cell
+        for record in simulator.transitions_between(bounds[0], bounds[-1])
+    )
+    assert dict(committed) == timed.activity_by_cell, _context(
+        seed, program, f"committed transitions per cell (variation={varied})"
+    )
+
+    report = static_timing_analysis(
+        netlist, library, vdd=mapped.vdd, delay_variation=variation
+    )
+    eps = 1e-6
+    for phase in ("valid", "reset"):
+        for net, bound in report.arrival.items():
+            latest = float(timed.arrival_of(net, phase).max(initial=0.0))
+            assert latest <= bound + eps, _context(
+                seed, program,
+                f"{phase} arrival of {net!r} {latest} > STA {bound} "
+                f"(variation={varied})",
+            )
+    bound = _reduced_cd_bound(circuit, report)
+    if not varied:
+        assert bound == mapped.grace.t_done_fall
+    assert float(timed.settle_time("reset").max()) <= bound + eps, _context(
+        seed, program, f"internal reset beyond t_io + td (variation={varied})"
+    )

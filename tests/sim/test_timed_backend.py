@@ -235,6 +235,51 @@ def test_early_propagation_beats_worst_case(umc):
     assert slow <= report.arrival["y"] + 1e-9
 
 
+@pytest.mark.parametrize("rest", [0, 1])
+def test_every_dispatch_shape_matches_event_simulator(umc, rest):
+    """Each cell shape's timed rule reproduces the event simulator's arrivals.
+
+    Datapath netlists never reach MAJ3, XOR2/XNOR2 or most complex gates;
+    this netlist has one cell of each shape, driven straight from the
+    inputs, swept over all eight input words from an all-*rest* spacer.
+    All inputs switch at ``t = 0``, so no cell sees staggered input events
+    and even the XOR rule is exact.
+    """
+    from repro.sim.simulator import GateLevelSimulator
+    from test_kernels import _all_tags_netlist
+
+    netlist = _all_tags_netlist()
+    words = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    spacer = {"a": rest, "b": rest, "c": rest}
+    timed = BatchBackend(netlist, umc).run_timed(
+        {net: [word[i] for word in words] for i, net in enumerate("abc")}, spacer
+    )
+
+    sim = GateLevelSimulator(netlist, umc)
+    sim.set_inputs(spacer)
+    sim.settle()
+    arrivals = {
+        phase: {net: np.zeros(len(words)) for net in netlist.nets}
+        for phase in ("valid", "reset")
+    }
+    committed = {}
+    for k, word in enumerate(words):
+        for phase, assignment in (("valid", dict(zip("abc", word))), ("reset", spacer)):
+            origin = sim.time
+            sim.set_inputs(assignment)
+            sim.settle()
+            for record in sim.transitions_between(origin, sim.time):
+                arrivals[phase][record.net][k] = record.time - origin
+                committed[record.cell] = committed.get(record.cell, 0) + 1
+    for phase, by_net in arrivals.items():
+        for net, expected in by_net.items():
+            np.testing.assert_allclose(
+                timed.arrival_of(net, phase), expected, rtol=RTOL,
+                err_msg=f"{phase} arrival of {net}",
+            )
+    assert timed.activity_by_cell == committed
+
+
 def test_timed_requires_library_and_functional_supply(umc):
     """The timed engine refuses meaningless configurations."""
     workload = random_workload(num_features=3, clauses_per_polarity=2,

@@ -5,12 +5,12 @@ workload, drives it with the built-in load generator (open-loop Poisson or
 closed-loop), and prints the SLO report: achieved throughput, batching
 efficiency, and p50/p95/p99/max end-to-end latency.  Optionally verifies
 that every gateway classification is bit-identical to a direct
-:func:`repro.analysis.batch_functional_pass` over the same operands
-(``--check-determinism``) and writes a ``BENCH_serve.json`` record for the
-CI regression gate (``--bench-json``).
+:func:`repro.analysis.batch_functional_pass` over the same operands through
+the batch reference interpreter (``--check-determinism``) and writes a
+``BENCH_serve.json`` record for the CI regression gate (``--bench-json``).
 
 Run with:  python examples/serve_demo.py [--requests 512] [--mode closed] \
-               [--backend bitpack] [--check-determinism]
+               [--workers 2] [--check-determinism]
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import argparse
 import asyncio
 import sys
 
-from repro.analysis import (
-    FUNCTIONAL_BACKENDS,
-    batch_functional_pass,
-    random_workload,
-    resolve_library,
-)
+from repro.analysis import batch_functional_pass, random_workload, resolve_library
 from repro.datapath.datapath import DualRailDatapath
 from repro.obs.profile import tracing_session
 from repro.serve import (
@@ -51,12 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closed-loop virtual clients (one request in flight each)")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="lanes per micro-batch (64 = one full bitpack word)")
-    parser.add_argument("--deadline-ms", type=float, default=2.0,
-                        help="flush deadline after the request that opens a word")
+    parser.add_argument("--deadline-ms", type=float, default=GatewayConfig.max_delay_ms,
+                        help="how long an under-full word may wait for more requests")
     parser.add_argument("--queue-depth", type=int, default=256,
                         help="bounded admission queue; beyond it requests are rejected")
-    parser.add_argument("--backend", choices=FUNCTIONAL_BACKENDS, default="bitpack",
-                        help="vectorized backend the workers classify with")
     parser.add_argument("--workers", type=int, default=0,
                         help="0 = in-process worker; N = compile-once process pool")
     parser.add_argument("--attribution", action="store_true",
@@ -73,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a Chrome/Perfetto trace of the run to this path "
                              "(.json = trace_event, .jsonl = raw span records)")
     parser.add_argument("--check-determinism", action="store_true",
-                        help="verify gateway replies == direct batch_functional_pass")
+                        help="verify gateway replies == the batch reference interpreter")
     parser.add_argument("--min-throughput", type=float, default=None,
                         help="exit non-zero if achieved req/s falls below this")
     return parser
@@ -87,9 +80,7 @@ async def serve_and_measure(args: argparse.Namespace):
         num_operands=min(args.requests, 256),
         seed=args.seed,
     )
-    spec = ModelSpec.from_workload(
-        workload, backend=args.backend, attribution=args.attribution
-    )
+    spec = ModelSpec.from_workload(workload, attribution=args.attribution)
     config = GatewayConfig(
         max_batch=args.max_batch,
         max_delay_ms=args.deadline_ms,
@@ -112,8 +103,8 @@ async def serve_and_measure(args: argparse.Namespace):
     return report, workload
 
 
-def check_determinism(report: LoadReport, workload, backend: str) -> bool:
-    """Compare every completed reply against a direct vectorized batch pass."""
+def check_determinism(report: LoadReport, workload) -> bool:
+    """Compare every completed reply against the batch reference interpreter."""
     datapath = DualRailDatapath(workload.config)
     sweep = batch_functional_pass(
         datapath,
@@ -121,7 +112,7 @@ def check_determinism(report: LoadReport, workload, backend: str) -> bool:
         workload,
         resolve_library(None),
         with_activity=False,
-        backend=backend,
+        backend="batch",
     )
     operands = workload.feature_vectors.shape[0]
     mismatches = sum(
@@ -153,7 +144,7 @@ def main(argv=None) -> int:
         print(line)
     ok = True
     if args.check_determinism:
-        ok = check_determinism(report, workload, args.backend) and ok
+        ok = check_determinism(report, workload) and ok
     if args.bench_json:
         report.write_bench_json(args.bench_json)
         print(f"bench record        : wrote {args.bench_json}")

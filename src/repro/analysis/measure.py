@@ -419,7 +419,15 @@ def decode_verdict_planes(
     bitpack backend's :class:`PackedBatchResult` (which unpacks only the
     rails touched here).
     """
-    rails = np.stack([result.values[rail] for rail in sig.rails])
+    return decode_verdict_rows(np.stack([result.values[rail] for rail in sig.rails]), sig)
+
+
+def decode_verdict_rows(rails: np.ndarray, sig: OneOfNSignal) -> List[str]:
+    """1-of-n decode of *sig*'s stacked ``(rails, samples)`` value rows.
+
+    Values are ``uint8`` with 2 encoding X.  Raises :class:`ValueError` for
+    an unknown rail value or a sample whose rails are not one-hot.
+    """
     if np.any(rails > 1):
         raise ValueError(f"1-of-n output {sig.name!r} carries unknown values")
     active = rails != sig.polarity.spacer_rail_value

@@ -5,8 +5,9 @@ answers *"how fast can you serve requests with the software model of it?"*.
 It provides:
 
 * :mod:`~repro.serve.gateway` — an asyncio micro-batching engine that
-  coalesces single-operand requests into full 64-lane bitpack words under
-  a latency budget, with bounded-queue overload rejection and graceful
+  coalesces single-operand requests into 64-lane bitpack words (a word
+  takes every request already queued and leaves as soon as the worker is
+  free), with bounded-queue overload rejection and graceful
   drain-on-shutdown;
 * :mod:`~repro.serve.worker` — compile-once inference workers (in-process
   or process-pool) whose classifications are bit-identical to a direct

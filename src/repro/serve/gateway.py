@@ -1,14 +1,16 @@
-"""Asyncio micro-batching gateway over the vectorized inference backends.
+"""Asyncio micro-batching gateway over the bitpack inference engine.
 
-The bitpack backend evaluates 64 samples per machine word, but a serving
+The bitpack engine evaluates 64 samples per machine word, but a serving
 workload arrives one operand at a time.  This module closes that gap with
-*micro-batching*: single-operand requests are queued, coalesced into one
-feature matrix, and flushed to a compile-once worker when either
+*micro-batching*: single-operand requests are queued and coalesced into one
+feature matrix for a compile-once worker.  Batching is work-conserving:
+when the dispatch slot is free, a word takes every request already queued
+(up to ``max_batch``, default 64 — one bitpack lane per request) and
+leaves.  The word is
 
-* the word is **full** (``max_batch`` requests, default 64 — one bitpack
-  lane per request), or
-* the **deadline** expires (``max_delay_ms`` after the request that opened
-  the word), whichever comes first.
+* **full** when it reached ``max_batch`` requests, or
+* flushed at its **deadline** otherwise: ``max_delay_ms`` after the request
+  that opened it, 0 by default, so an under-full word does not linger.
 
 Every request gets its own :class:`asyncio.Future`; the batch reply is
 fanned back out in request order, so concurrent submitters always receive
@@ -19,10 +21,11 @@ the standard explicit-overload-rejection discipline for SLO-driven
 services.
 
 Backpressure shapes the batches.  The gateway dispatches at most as many
-micro-batches concurrently as the classifier has workers; while all workers
-are busy, the batching loop keeps the current word open, so occupancy rises
-exactly when the system is loaded — adaptive batching without a tuning
-loop.
+micro-batches concurrently as the classifier has workers.  While all
+workers are busy, requests queue, and the next word takes them all at
+once, so occupancy rises exactly when the system is loaded — adaptive
+batching without a tuning loop.  An in-process classifier runs each word
+on the event loop itself; a process pool runs it in a worker process.
 
 Shutdown is graceful: :meth:`MicroBatchGateway.stop` rejects new
 submissions, drains every queued request through the normal batch path,
@@ -46,6 +49,8 @@ from .worker import (
     InProcessClassifier,
     ModelSpec,
     ProcessPoolClassifier,
+    _classify_in_process,
+    feature_bits,
 )
 
 #: Flush-reason labels recorded on every dispatched micro-batch.
@@ -72,20 +77,21 @@ class GatewayConfig:
         Lanes per micro-batch; the default is one full bitpack word
         (:data:`~repro.sim.backends.bitpack.WORD_BITS` = 64 lanes).
     max_delay_ms:
-        Deadline from the request that *opens* a word to its flush.  The
-        latency cost of batching is bounded by this number; the throughput
-        win grows with it.  See the serving guide's tuning table.
+        How long an under-full word may wait for more requests, from the
+        request that *opens* it.  The default 0 flushes a word as soon as
+        the queue is empty; the word still carries everything that queued
+        while the previous word ran.  See the serving guide's tuning table.
     queue_depth:
         Bounded admission queue; beyond it, submissions are rejected with
         :class:`GatewayOverloaded`.
     workers:
-        ``0`` = in-process classification (default thread-pool executor);
+        ``0`` = in-process classification, on the event loop;
         ``N >= 1`` = a :class:`~repro.serve.worker.ProcessPoolClassifier`
         with *N* compile-once worker processes.
     """
 
     max_batch: int = WORD_BITS
-    max_delay_ms: float = 2.0
+    max_delay_ms: float = 0.0
     queue_depth: int = 256
     workers: int = 0
 
@@ -196,7 +202,7 @@ class MicroBatchGateway:
 
     Usage::
 
-        gateway = MicroBatchGateway(spec, GatewayConfig(max_delay_ms=2.0))
+        gateway = MicroBatchGateway(spec)
         await gateway.start()
         result = await gateway.submit([0, 1, 1, 0])
         await gateway.stop()
@@ -317,14 +323,14 @@ class MicroBatchGateway:
         GatewayClosed
             Before :meth:`start` or after :meth:`stop` has begun.
         ValueError
-            When *features* is not a flat vector of the served model's
-            width.  Shape errors are rejected here, per request, so one
-            malformed submission can never poison the micro-batch it
-            would have been coalesced into.
+            When *features* is not a flat vector of 0/1 values of the
+            served model's width.  These errors are rejected here, per
+            request, so one malformed submission can never poison the
+            micro-batch it would have been coalesced into.
         """
         if not self._running or self._closing or self._queue is None:
             raise GatewayClosed("gateway is not accepting requests")
-        operand = np.asarray(features, dtype=np.uint8)
+        operand = np.asarray(features)
         if operand.ndim != 1:
             raise ValueError(
                 f"features must be a flat vector, got shape {operand.shape}"
@@ -333,6 +339,7 @@ class MicroBatchGateway:
             raise ValueError(
                 f"expected {self._num_features} features, got {operand.shape[0]}"
             )
+        operand = feature_bits(operand)
         loop = asyncio.get_running_loop()
         pending = _Pending(features=operand, future=loop.create_future())
         with _trace.span("gateway.submit"):
@@ -351,14 +358,14 @@ class MicroBatchGateway:
 
     # ------------------------------------------------------------- batching
     async def _run(self) -> None:
-        """The batching loop: collect words, flush on full or deadline."""
+        """The batching loop: take what is queued, flush on full or deadline."""
         assert self._queue is not None and self._dispatch_slots is not None
         loop = asyncio.get_running_loop()
         draining = False
         while not draining:
             # A worker slot gates the *collection* of the next word, not
-            # just its dispatch: while every worker is busy the word stays
-            # open and keeps filling — adaptive batching under load.
+            # just its dispatch: while every worker is busy requests queue,
+            # and the next word takes them all — adaptive batching under load.
             await self._dispatch_slots.acquire()
             first = await self._queue.get()
             if first is _SHUTDOWN:
@@ -369,15 +376,20 @@ class MicroBatchGateway:
                 deadline = loop.time() + self.config.max_delay_ms / 1e3
                 flush_reason = FLUSH_FULL
                 while len(batch) < self.config.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        flush_reason = FLUSH_DEADLINE
-                        break
+                    # Drain the backlog first: only an under-full word with
+                    # an empty queue looks at the deadline.
                     try:
-                        item = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        flush_reason = FLUSH_DEADLINE
-                        break
+                        item = self._queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        remaining = deadline - loop.time()
+                        if remaining <= 0:
+                            flush_reason = FLUSH_DEADLINE
+                            break
+                        try:
+                            item = await asyncio.wait_for(self._queue.get(), remaining)
+                        except asyncio.TimeoutError:
+                            flush_reason = FLUSH_DEADLINE
+                            break
                     if item is _SHUTDOWN:
                         flush_reason = FLUSH_DRAIN
                         draining = True
@@ -420,10 +432,14 @@ class MicroBatchGateway:
         task.add_done_callback(self._dispatches.discard)
 
     async def _classify(self, batch: List[_Pending], flush_reason: str) -> None:
-        """Run one micro-batch in the executor and fan results back out."""
+        """Classify one micro-batch and fan the results back out.
+
+        Without a process pool the word runs here, on the event loop: it
+        holds the interpreter lock throughout, so a thread would only add
+        two handoffs per word.
+        """
         assert self._dispatch_slots is not None
-        loop = asyncio.get_running_loop()
-        executor = getattr(self._classifier, "pool", None)
+        pool = getattr(self._classifier, "pool", None)
         try:
             with _trace.span("gateway.dispatch", lanes=len(batch),
                              reason=flush_reason):
@@ -431,15 +447,11 @@ class MicroBatchGateway:
                 # feature width is unknown at submit) still fans the error
                 # out to every future and releases the dispatch slot.
                 features = np.stack([p.features for p in batch])
-                if executor is not None:
-                    from .worker import _classify_in_process
-
-                    reply: BatchReply = await loop.run_in_executor(
-                        executor, _classify_in_process, features
-                    )
+                if pool is None:
+                    reply: BatchReply = self._classifier.classify(features)
                 else:
-                    reply = await loop.run_in_executor(
-                        None, self._classifier.classify, features
+                    reply = await asyncio.get_running_loop().run_in_executor(
+                        pool, _classify_in_process, features
                     )
         except Exception as err:  # propagate the failure to every submitter
             for pending in batch:

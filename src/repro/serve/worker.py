@@ -1,32 +1,31 @@
 """Compile-once inference workers behind the micro-batching gateway.
 
 A worker owns everything that is expensive to build and free to reuse: the
-dual-rail datapath netlist, the levelized backend program, the bound
-exclude-rail constants (via
-:class:`~repro.sim.backends.session.BackendSession`) and, when latency
-attribution is enabled, the technology-mapped design the timed engine runs
-on.  The gateway hands a worker nothing but a ``(batch, num_features)``
-feature matrix per micro-batch and gets verdicts back — the contract is a
-plain function of small arrays, so it crosses process boundaries cheaply.
+dual-rail datapath netlist, its compiled program bound to the exclude-rail
+constants (a :class:`~repro.sim.backends.bitpack.BoundProgram`) and, when
+latency attribution is enabled, the technology-mapped design the timed
+engine runs on.  The gateway hands a worker nothing but a ``(batch,
+num_features)`` feature matrix per micro-batch and gets verdicts back — the
+contract is a plain function of small arrays, so it crosses process
+boundaries cheaply.
 
 Two deployment shapes share the same :class:`InferenceWorker`:
 
 * **in-process** — :class:`InProcessClassifier` holds the worker directly
-  and the gateway runs ``classify`` on the event loop's default thread-pool
-  executor (no pickling, no process startup; the right default for tests
-  and single-machine serving);
+  and the gateway runs ``classify`` on the event loop itself (no pickling,
+  no process startup, no thread handoff; the right default for tests and
+  single-machine serving);
 * **multi-process** — :class:`ProcessPoolClassifier` ships a picklable
   :class:`ModelSpec` to each pool process once (the pool *initializer*
   compiles the model there) and afterwards only feature matrices and
   verdict lists cross the boundary.
 
 Determinism: a worker built from ``ModelSpec.from_workload(w)`` evaluates
-the exact netlist ``DualRailDatapath(w.config)`` builds, through the same
-backend entry points as
-:func:`repro.analysis.measure.batch_functional_pass` — so gateway
-classifications are bit-identical to a direct batch pass over the same
-operands (the serve test-suite and the ``serve-smoke`` CI job assert
-this).
+the exact netlist ``DualRailDatapath(w.config)`` builds with the bitpack
+engine, which is bit-identical to the batch reference interpreter — so
+gateway classifications equal a direct
+:func:`repro.analysis.measure.batch_functional_pass` over the same operands
+(the serve test-suite and the ``serve-smoke`` CI job assert this).
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from repro.analysis.measure import (
     Workload,
     build_mapped_dual_rail,
     decode_verdict_planes,
+    decode_verdict_rows,
     resolve_library,
     spacer_assignments,
     verdict_signal,
@@ -54,7 +54,7 @@ from repro.datapath.datapath import (
 )
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.sim.backends import BackendSession, get_backend
+from repro.sim.backends import BitpackBackend, BoundProgram, get_backend
 from repro.sim.program import CompiledProgram, compile_program, netlist_fingerprint
 from repro.sim.program_cache import ProgramCache
 
@@ -75,10 +75,8 @@ class ModelSpec:
         The trained clause-composition matrix, hardware ordering (see
         :meth:`repro.datapath.datapath.DualRailDatapath.operand_assignments`).
     library:
-        Cell library the backend is instantiated with (functional results
-        do not depend on it; delays and energies do).
-    backend:
-        Vectorized backend name, ``"batch"`` or ``"bitpack"``.
+        Cell library the program is compiled with (functional results do
+        not depend on it; delays and energies do).
     vdd:
         Supply point for delay/energy attribution (``None`` = nominal).
     attribution:
@@ -101,7 +99,6 @@ class ModelSpec:
     config: DatapathConfig
     exclude: np.ndarray
     library: Optional[CellLibrary] = None
-    backend: str = "bitpack"
     vdd: Optional[float] = None
     attribution: bool = False
     program: Optional[CompiledProgram] = None
@@ -112,7 +109,6 @@ class ModelSpec:
         cls,
         workload: Workload,
         library: Optional[CellLibrary] = None,
-        backend: str = "bitpack",
         vdd: Optional[float] = None,
         attribution: bool = False,
         program: Optional[CompiledProgram] = None,
@@ -123,7 +119,6 @@ class ModelSpec:
             config=workload.config,
             exclude=np.asarray(workload.exclude),
             library=library,
-            backend=backend,
             vdd=vdd,
             attribution=attribution,
             program=program,
@@ -176,13 +171,28 @@ class BatchReply:
         return len(self.verdicts)
 
 
+def feature_bits(features) -> np.ndarray:
+    """*features* as a ``uint8`` array, checked before the cast.
+
+    Only integers and bools equal to 0 or 1 pass.  Anything else raises
+    :class:`ValueError` instead of being coerced: ``0.5`` would cast to 0,
+    and ``2`` is not a value the bitpack planes can carry.
+    """
+    raw = np.asarray(features)
+    if raw.dtype.kind not in "biu" or ((raw != 0) & (raw != 1)).any():
+        raise ValueError("features must be 0/1 integers or bools")
+    return raw.astype(np.uint8, copy=False)
+
+
 class InferenceWorker:
     """A served model, compiled once and reusable across micro-batches.
 
     Construction does all the heavy lifting — datapath build (plus
-    synthesis mapping when attribution is on), backend levelization, and
-    constant-plane binding of the exclude rails — so :meth:`classify` costs
-    only the per-call feature planes and the gate evaluation itself.
+    synthesis mapping when attribution is on), compilation and the binding
+    of the exclude rails as constants in :attr:`session`, a
+    :class:`~repro.sim.backends.bitpack.BoundProgram` over the feature
+    rails (positive, then negative) and the verdict rails — so
+    :meth:`classify` costs one packed kernel run per word.
     """
 
     def __init__(self, spec: ModelSpec) -> None:
@@ -203,36 +213,36 @@ class InferenceWorker:
                     f"(program netlist hash {spec.program.netlist_hash[:12]}…, "
                     f"spec builds {expected[:12]}…)"
                 )
-            engine = get_backend(spec.backend, program=spec.program)
+            self._engine = BitpackBackend(program=spec.program)
         else:
-            engine = get_backend(
-                spec.backend,
+            self._engine = get_backend(
+                BitpackBackend.name,
                 self.circuit.netlist,
                 library,
                 vdd=spec.vdd,
                 cache=spec.program_cache,
             )
-        # Bind every non-feature input rail as a session constant: the
-        # exclude configuration never changes between requests, so its
-        # planes are broadcast once per batch size instead of per call.
+        # Every non-feature input rail is a constant: the exclude
+        # configuration never changes between requests.
         num_features = spec.config.num_features
         reference = self.datapath.operand_assignments(
             np.zeros(num_features, dtype=np.int8), spec.exclude
         )
-        feature_names = {feature_input_name(m) for m in range(num_features)}
         by_name = {sig.name: sig for sig in self.circuit.inputs}
-        self._feature_rails = [
-            (by_name[feature_input_name(m)].pos, by_name[feature_input_name(m)].neg)
-            for m in range(num_features)
-        ]
-        constants = {}
-        for sig in self.circuit.inputs:
-            if sig.name not in feature_names:
-                bit = int(reference[sig.name])
-                constants[sig.pos] = bit
-                constants[sig.neg] = 1 - bit
-        self.session = BackendSession(engine, constants)
+        features = [by_name.pop(feature_input_name(m)) for m in range(num_features)]
+        self._constants = {}
+        for sig in by_name.values():
+            bit = int(reference[sig.name])
+            self._constants[sig.pos] = bit
+            self._constants[sig.neg] = 1 - bit
+        self._feature_rails = [sig.pos for sig in features] + [sig.neg for sig in features]
         self._verdict_signal = verdict_signal(self.circuit)
+        self.session = BoundProgram(
+            self._engine.program,
+            self._constants,
+            self._feature_rails,
+            self._verdict_signal.rails,
+        )
         self._spacer = spacer_assignments(self.circuit)
         self._output_rails = self.circuit.all_output_rails()
         self._throughput_gauge = _metrics.default_registry().gauge(
@@ -240,58 +250,47 @@ class InferenceWorker:
             "Most recent micro-batch throughput of the serving backend.",
         )
 
-    def _feature_planes(self, features: np.ndarray) -> dict:
-        """Per-rail input planes for a ``(batch, num_features)`` matrix."""
-        features = np.asarray(features, dtype=np.uint8)
+    def classify(self, features: np.ndarray) -> BatchReply:
+        """Classify one micro-batch; request order is preserved.
+
+        Functional mode is one :meth:`BoundProgram.run_arrays` call;
+        attribution mode runs the timed engine instead, which additionally
+        yields each request's simulated spacer→valid hardware latency and
+        switching energy.
+        """
+        start = time.perf_counter()
+        features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.spec.config.num_features:
             raise ValueError(
                 f"expected a (batch, {self.spec.config.num_features}) feature "
                 f"matrix, got shape {features.shape}"
             )
-        planes = {}
-        for m, (pos, neg) in enumerate(self._feature_rails):
-            bits = features[:, m]
-            planes[pos] = bits
-            planes[neg] = (1 - bits).astype(np.uint8)
-        return planes
-
-    def classify(self, features: np.ndarray) -> BatchReply:
-        """Classify one micro-batch; request order is preserved.
-
-        Functional mode runs a single ``run_arrays`` pass; attribution mode
-        runs the timed engine instead, which additionally yields each
-        request's simulated spacer→valid hardware latency and switching
-        energy.
-        """
-        start = time.perf_counter()
-        with _trace.span("worker.classify", backend=self.spec.backend,
-                         lanes=int(np.shape(features)[0])):
-            planes = self._feature_planes(features)
+        bits = feature_bits(features)
+        rails = np.concatenate((bits, 1 - bits), axis=1)
+        with _trace.span("worker.classify", lanes=int(bits.shape[0])):
+            latency_ps = energy_fj = None
             if self.spec.attribution:
-                timed = self.session.run_timed(planes, self._spacer)
+                planes = dict(self._constants)
+                planes.update(zip(self._feature_rails, rails.T))
+                timed = self._engine.run_timed(planes, self._spacer)
                 verdicts = decode_verdict_planes(timed, self._verdict_signal)
                 latency = timed.max_arrival(self._output_rails, "valid")
-                reply = BatchReply(
-                    verdicts=verdicts,
-                    decisions=[
-                        DualRailDatapath.decision_from_verdict(v) for v in verdicts
-                    ],
-                    latency_ps=[float(t) for t in latency],
-                    energy_fj=[float(e) for e in timed.energy_per_sample_fj],
-                )
+                latency_ps = [float(t) for t in latency]
+                energy_fj = [float(e) for e in timed.energy_per_sample_fj]
             else:
-                result = self.session.run_arrays(planes)
-                verdicts = decode_verdict_planes(result, self._verdict_signal)
-                reply = BatchReply(
-                    verdicts=verdicts,
-                    decisions=[
-                        DualRailDatapath.decision_from_verdict(v) for v in verdicts
-                    ],
+                verdicts = decode_verdict_rows(
+                    self.session.run_arrays(rails), self._verdict_signal
                 )
+            reply = BatchReply(
+                verdicts=verdicts,
+                decisions=[DualRailDatapath.decision_from_verdict(v) for v in verdicts],
+                latency_ps=latency_ps,
+                energy_fj=energy_fj,
+            )
         elapsed = time.perf_counter() - start
         if elapsed > 0:
             self._throughput_gauge.set(
-                reply.samples / elapsed, backend=self.spec.backend
+                reply.samples / elapsed, backend=BitpackBackend.name
             )
         return reply
 
@@ -299,9 +298,11 @@ class InferenceWorker:
 class InProcessClassifier:
     """The gateway's default execution shape: one worker, this process.
 
-    ``classify`` is plain synchronous code; the gateway moves it off the
-    event loop onto the default thread-pool executor, so the batching loop
-    keeps collecting the next word while the current one evaluates.
+    ``classify`` is plain synchronous code, and the gateway calls it on the
+    event loop.  A word is Python plus small-array NumPy that holds the
+    interpreter lock throughout, so a thread would overlap nothing and only
+    add two handoffs; requests that arrive meanwhile queue, and leave
+    together in the next word.
     """
 
     def __init__(self, spec: ModelSpec) -> None:

@@ -27,7 +27,6 @@ Contents:
 
 from .backends import (
     BackendError,
-    BackendSession,
     BatchBackend,
     BatchResult,
     BitpackBackend,

@@ -32,19 +32,18 @@ from .base import (
     register_backend,
 )
 from .batch import ArrayBatchResult, BatchBackend
-from .bitpack import BitpackBackend, PackedBatchResult
+from .bitpack import BitpackBackend, BoundProgram, PackedBatchResult
 from .event import EventBackend
-from .session import BackendSession
 from .timed import TimedBatchResult, TimedProgram
 
 __all__ = [
     "ArrayBatchResult",
     "classify_cell_type",
     "BackendError",
-    "BackendSession",
     "BatchBackend",
     "BatchResult",
     "BitpackBackend",
+    "BoundProgram",
     "EventBackend",
     "PackedBatchResult",
     "SimulationBackend",

@@ -154,7 +154,7 @@ def make_cell_type_compiler(
     AND/NAND, OR/NOR, XOR2/XNOR2, MAJ3, C-elements, and the AOI/OAI/AO/OA
     complex gates with per-digit pin groups); only the primitives differ —
     the batch backend's operate on ``uint8`` sample arrays, the timed
-    engine's on ``(start, final, arrival)`` triples.  Each ``*_fn`` takes
+    engine's on ``(final, arrival)`` pairs.  Each ``*_fn`` takes
     the cell's input values in pin order and returns the output value;
     *invert* maps an output value to its logical complement.
     """

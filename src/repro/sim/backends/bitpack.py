@@ -386,3 +386,98 @@ class BitpackBackend:
 
 
 register_backend("bitpack", BitpackBackend)
+
+
+def _net_rows(index: Mapping[str, int], nets: Sequence[str], role: str) -> np.ndarray:
+    """The plane-matrix rows of *nets*; :class:`KeyError` names an unknown one."""
+    for net in nets:
+        if net not in index:
+            raise KeyError(f"{role} net {net!r} does not exist in the program")
+    return np.array([index[net] for net in nets], dtype=np.intp)
+
+
+class BoundProgram:
+    """A compiled program with its constant inputs bound, run word by word.
+
+    A serving workload evaluates one design thousands of times a second with
+    only a few input nets changing per call (the feature rails), while
+    hundreds of configuration nets (the clause exclude rails) carry the same
+    value every time.  Construction resolves the rows of the constant, input
+    and output nets once and keeps one ``(nets, 1)`` ``uint64`` plane pair
+    pre-filled with the program's TIE rows and the *constants*, X elsewhere.
+    :meth:`run_arrays` then copies that template, packs the inputs with one
+    ``np.packbits`` and runs the grouped kernel: no name-keyed dict, no
+    stimulus normalization and no activity accounting per call.
+
+    Constant rows fill all 64 lanes of a word.  That is exact: every plane
+    evaluator is lane-wise, and only the first ``lanes`` columns are read.
+
+    Parameters
+    ----------
+    program:
+        The :class:`~repro.sim.program.CompiledProgram` to execute.
+    constants:
+        ``net → 0/1`` applied on every call.
+    inputs:
+        The nets :meth:`run_arrays` takes values for, in column order.  They
+        may not overlap *constants*: an overlap almost always means the
+        caller bound the wrong set, so it raises instead of picking a winner.
+    outputs:
+        The nets :meth:`run_arrays` returns, in row order.
+    """
+
+    def __init__(
+        self,
+        program: CompiledProgram,
+        constants: Mapping[str, int],
+        inputs: Sequence[str],
+        outputs: Sequence[str],
+    ) -> None:
+        for net, value in constants.items():
+            if int(value) not in (0, 1):
+                raise BackendError(f"constant net {net!r} must be Boolean, got {value!r}")
+        overlap = sorted(set(inputs) & set(constants))
+        if overlap:
+            raise BackendError(
+                f"input nets overlap bound constants (e.g. {overlap[:3]})"
+            )
+        #: The compile artifact this instance executes.
+        self.program = program
+        self._kernel = fused_kernel(program)
+        index = self._kernel.plan.net_index
+        fixed = dict(constants)
+        fixed.update(program.constants)  # TIE cells win, as in BitpackBackend
+        const_rows = _net_rows(index, list(fixed), "constant")
+        self._input_rows = _net_rows(index, inputs, "input")
+        self._output_rows = _net_rows(index, outputs, "output")
+        high = np.array([int(value) == 1 for value in fixed.values()], dtype=bool)
+        every_lane = ~np.uint64(0)
+        self._ones = np.zeros((self._kernel.plan.num_nets, 1), dtype=np.uint64)
+        self._zeros = np.zeros_like(self._ones)
+        self._ones[const_rows[high]] = every_lane
+        self._zeros[const_rows[~high]] = every_lane
+
+    def run_arrays(self, values: np.ndarray) -> np.ndarray:
+        """Evaluate one batch; returns the output rows.
+
+        *values* is a ``(lanes, len(inputs))`` ``uint8`` 0/1 matrix (it is
+        not checked).  Returns ``(len(outputs), lanes)`` ``uint8`` value
+        rows, 2 encoding X.
+        """
+        lanes = values.shape[0]
+        words = words_for(lanes)
+        ones = np.repeat(self._ones, words, axis=1)
+        zeros = np.repeat(self._zeros, words, axis=1)
+        bits = np.zeros((values.shape[1], words * WORD_BITS), dtype=np.uint8)
+        bits[:, :lanes] = values.T
+        packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        # Lanes past *lanes* read as 0 here; they are never read back.
+        ones[self._input_rows] = packed
+        zeros[self._input_rows] = ~packed
+        self._kernel.execute(ones, zeros)
+        rows = self._output_rows
+        planes = np.concatenate((ones[rows], zeros[rows])).view(np.uint8)
+        unpacked = np.unpackbits(planes, axis=1, bitorder="little")[:, :lanes]
+        one_bits, zero_bits = np.split(unpacked, 2)
+        return np.where(one_bits == 1, np.uint8(1),
+                        np.where(zero_bits == 1, np.uint8(0), X))

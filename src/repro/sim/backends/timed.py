@@ -62,8 +62,11 @@ in one call.  The rest word is settled first.  The forward sweep then
 settles the valid values and their arrivals; the backward sweep reads both
 settled matrices and writes only arrivals.  A sweep reads whether an
 output changes from its settled rows, so the rules compute no start
-values, except for the inner terms of complex gates (AOI/OAI/AO/OA), which
-are not nets.  Samples are independent, so running them in blocks of
+values.  The inner terms of complex gates (AOI/OAI/AO/OA) are not nets,
+so they pass their arrival on unmasked: an inner term whose start and
+final values agree can still glitch within the phase, and the event
+simulator commits the gate's output from that glitch.  Samples are
+independent, so running them in blocks of
 :data:`_BLOCK` columns (which keeps temporaries cache-sized) is exact.
 
 Energy
@@ -116,32 +119,18 @@ _NEVER = np.float64(np.inf)
 #: Sample columns per sweep block.
 _BLOCK = 1024
 
-#: One pin's timed state in a sweep: ``(start values, final values, arrival
-#: times)`` over a group's gathered ``(cells, samples)`` columns —
-#: ``uint8`` values (2 = X; the rest word's columns are ``(cells, 1)``) and
-#: ``float64`` arrivals, ``0.0`` for samples whose value does not change
-#: this phase.  NumPy broadcasting keeps the math uniform.  ``None`` start
-#: values ask a rule for its unmasked arrival (:func:`_start_and_mask`).
-TimedPlanes = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
+#: One pin's timed state in a sweep: ``(final values, arrival times)`` over
+#: a group's gathered ``(cells, samples)`` columns — ``uint8`` values (2 =
+#: X; the rest word's columns are ``(cells, 1)``) and ``float64`` arrivals,
+#: ``0.0`` for net samples whose value does not change this phase.  NumPy
+#: broadcasting keeps the math uniform.  A rule returns its arrival
+#: unmasked; the sweep masks it with the output's settled rows.
+TimedPlanes = Tuple[np.ndarray, np.ndarray]
 
 
 def _changed(start: np.ndarray, final: np.ndarray) -> np.ndarray:
     """Samples whose value actually transitions this phase (both values known)."""
     return (start != final) & (start != X) & (final != X)
-
-
-def _start_and_mask(
-    value_fn, starts: Sequence[Optional[np.ndarray]], final: np.ndarray, t: np.ndarray,
-) -> TimedPlanes:
-    """Finish a rule: its start values, and *t* zeroed where it does not transition.
-
-    Without start values (``None``) the caller knows them already: *t* is
-    returned unmasked, for the caller to mask with its settled rows.
-    """
-    if starts[0] is None:
-        return None, final, t
-    start = value_fn(starts)
-    return start, final, np.where(_changed(start, final), t, 0.0)
 
 
 def _last_arrival(arrivals: Sequence[np.ndarray]) -> np.ndarray:
@@ -186,26 +175,24 @@ def _second_arrival_at(
 
 def _timed_and(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed three-valued AND: a 0 propagates early, a 1 waits for all."""
-    starts, finals, arrivals = zip(*planes)
+    finals, arrivals = zip(*planes)
     final = _and_arrays(finals)
-    t = np.where(
+    return final, np.where(
         final == 0,
         _first_arrival_at(finals, arrivals, 0),
         _last_arrival(arrivals),
     )
-    return _start_and_mask(_and_arrays, starts, final, t)
 
 
 def _timed_or(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed three-valued OR: a 1 propagates early, a 0 waits for all."""
-    starts, finals, arrivals = zip(*planes)
+    finals, arrivals = zip(*planes)
     final = _or_arrays(finals)
-    t = np.where(
+    return final, np.where(
         final == 1,
         _first_arrival_at(finals, arrivals, 1),
         _last_arrival(arrivals),
     )
-    return _start_and_mask(_or_arrays, starts, final, t)
 
 
 def _timed_xor(planes: Sequence[TimedPlanes]) -> TimedPlanes:
@@ -216,33 +203,30 @@ def _timed_xor(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     output — impossible in unate-mapped dual-rail netlists, which contain
     no XOR cells; the rule is the settle time for any other caller).
     """
-    starts, finals, arrivals = zip(*planes)
-    final = _xor_arrays(finals)
-    return _start_and_mask(_xor_arrays, starts, final, _last_arrival(arrivals))
+    finals, arrivals = zip(*planes)
+    return _xor_arrays(finals), _last_arrival(arrivals)
 
 
 def _timed_maj3(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed 3-input majority: decided by the second input to agree."""
-    starts, finals, arrivals = zip(*planes)
+    finals, arrivals = zip(*planes)
     final = _maj3_arrays(finals)
-    t = _second_arrival_at(finals, arrivals, final)
-    return _start_and_mask(_maj3_arrays, starts, final, t)
+    return final, _second_arrival_at(finals, arrivals, final)
 
 
 def _timed_c(planes: Sequence[TimedPlanes]) -> TimedPlanes:
     """Timed C-element: switches only when the *last* input agrees."""
-    starts, finals, arrivals = zip(*planes)
-    final = _c_element_arrays(finals)
-    return _start_and_mask(_c_element_arrays, starts, final, _last_arrival(arrivals))
+    finals, arrivals = zip(*planes)
+    return _c_element_arrays(finals), _last_arrival(arrivals)
 
 
 def _timed_not(plane: TimedPlanes) -> TimedPlanes:
     """Timed inversion: values complement, the arrival is untouched."""
-    start, final, arrival = plane
-    return (None if start is None else _NOT_LUT[start]), _NOT_LUT[final], arrival
+    final, arrival = plane
+    return _NOT_LUT[final], arrival
 
 
-#: Dispatch over the timed (start, final, arrival) rules, bound per plan
+#: Dispatch over the timed (final, arrival) rules, bound per plan
 #: group, so complex AOI/OAI/AO/OA gates compose group-wise with zero
 #: per-group delay (one cell, one delay).
 _compile_shape = make_cell_type_compiler(
@@ -430,11 +414,8 @@ class TimedProgram:
         if delay_variation:
             delay[plan.out_idx] *= [delay_variation.get(n, 1.0) for n in plan.cell_names]
         self._energies = 2.0 * np.array([op.energy_fj for op in program.ops]).reshape(-1, 1)
-        # A complex gate's inner terms need their own start values to mask
-        # their arrivals; every other shape is masked by its settled rows.
         self._groups = [
-            (group, _compile_shape(group.tag, group.pin_groups),
-             delay[group.out_idx, None], group.pin_groups is None)
+            (group, _compile_shape(group.tag, group.pin_groups), delay[group.out_idx, None])
             for level in plan.levels
             for group in level
         ]
@@ -453,22 +434,19 @@ class TimedProgram:
 
     def _settle_rest(self, rest: np.ndarray) -> None:
         """Settle the rest word ``(nets, 1)`` in place (values only)."""
-        for group, rule, _delay, _flat in self._groups:
-            rest[group.out_idx] = rule([(None, rest[col], 0.0) for col in group.in_cols])[1]
+        for group, rule, _delay in self._groups:
+            rest[group.out_idx] = rule([(rest[col], 0.0) for col in group.in_cols])[0]
 
     def _sweep(self, start: np.ndarray, final: np.ndarray, arrival: np.ndarray,
                settle: bool) -> None:
         """One phase over the grouped plan from the settled *start* values.
 
         Writes the arrivals in place and, with *settle*, the *final* values
-        too (otherwise they are already settled and only re-derived where
-        a rule needs them).
+        too (otherwise they are already settled, and each rule derives the
+        same values again).
         """
-        for group, rule, delay, flat in self._groups:
-            _, f, t = rule([
-                (None if flat else start[col], final[col], arrival[col])
-                for col in group.in_cols
-            ])
+        for group, rule, delay in self._groups:
+            f, t = rule([(final[col], arrival[col]) for col in group.in_cols])
             out = group.out_idx
             if settle:
                 final[out] = f

@@ -108,7 +108,6 @@ def test_autodoc_covers_the_docstring_enforced_surface():
         "repro.explore.pareto",
         "repro.explore.queue",
         "repro.explore.fronts",
-        "repro.sim.backends.session",
         "repro.serve.gateway",
         "repro.serve.worker",
         "repro.serve.server",

@@ -1,14 +1,19 @@
 """Behavioural tests for the micro-batching gateway.
 
 These drive :class:`repro.serve.MicroBatchGateway` with controllable stub
-classifiers (no circuits compiled), pinning the batching contract:
+classifiers (no circuits compiled), and with a small served model where a
+reply must match the batch reference, pinning the batching contract:
 
 * a full word flushes immediately (``flush == "full"``);
+* a word first takes every queued request, so a zero linger still fills
+  it from the backlog;
 * an under-full word flushes at the deadline, ragged (``"deadline"``);
 * concurrent submitters each receive *their own* classification;
 * the bounded queue rejects with :class:`GatewayOverloaded` when full;
 * ``stop`` drains every admitted request before releasing the classifier;
-* a classifier failure propagates to every submitter in the batch.
+* a classifier failure propagates to every submitter in the batch;
+* a malformed submission (wrong width, non-0/1 values) fails alone,
+  before admission, and its neighbours get the batch reference's replies.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.analysis import batch_functional_pass, random_workload, resolve_library
+from repro.datapath.datapath import DualRailDatapath
 from repro.serve import (
     FLUSH_DEADLINE,
     FLUSH_DRAIN,
@@ -29,6 +36,7 @@ from repro.serve import (
     GatewayConfig,
     GatewayOverloaded,
     MicroBatchGateway,
+    ModelSpec,
 )
 from repro.serve.worker import BatchReply
 
@@ -90,6 +98,25 @@ def test_full_word_flushes_immediately():
     assert stub.batch_sizes == [4]
     assert [r.flush_reason for r in results] == [FLUSH_FULL] * 4
     assert [r.batch_size for r in results] == [4] * 4
+
+
+def test_zero_linger_takes_the_backlog():
+    """With no linger, a word still takes every request already queued."""
+
+    async def body():
+        stub = EchoClassifier()
+        gw = MicroBatchGateway(
+            classifier=stub,
+            config=GatewayConfig(max_batch=8, max_delay_ms=0.0),
+        )
+        await gw.start()
+        results = await asyncio.gather(*(gw.submit([1, 0]) for _ in range(8)))
+        await gw.stop()
+        return stub, results
+
+    stub, results = run(body())
+    assert stub.batch_sizes == [8]
+    assert [r.flush_reason for r in results] == [FLUSH_FULL] * 8
 
 
 def test_deadline_flushes_ragged_word():
@@ -238,6 +265,48 @@ def test_known_width_rejects_wrong_length_per_request():
 
     result = run(body())
     assert result.decision == 1
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A small served model and the batch reference's reply to each operand."""
+    workload = random_workload(
+        num_features=2, clauses_per_polarity=2, num_operands=6, seed=5
+    )
+    datapath = DualRailDatapath(workload.config)
+    sweep = batch_functional_pass(
+        datapath, datapath.circuit, workload, resolve_library(None),
+        with_activity=False, backend="batch",
+    )
+    return workload, list(zip(sweep.verdicts, sweep.decisions))
+
+
+@pytest.mark.parametrize("bad", [[2, 0], [0.5, 1]], ids=["two", "half"])
+def test_non_boolean_features_are_rejected_per_request(served, bad):
+    """A non-0/1 submission fails alone; the requests beside it are served.
+
+    Unchecked, ``[2, 0]`` fails every request of its word inside the
+    engine, and ``[0.5, 1]`` is classified as ``[0, 1]``.
+    """
+    workload, expected = served
+
+    async def body():
+        gw = MicroBatchGateway(ModelSpec.from_workload(workload))
+        await gw.start()
+        try:
+            good = [gw.submit(f) for f in workload.feature_vectors]
+            return await asyncio.gather(
+                *good[:3], gw.submit(bad), *good[3:], return_exceptions=True
+            )
+        finally:
+            await gw.stop()
+
+    results = run(body())
+    rejected = results.pop(3)
+    assert isinstance(rejected, ValueError)
+    assert "0/1" in str(rejected)
+    assert [(r.verdict, r.decision) for r in results] == expected
+    assert {r.batch_size for r in results} == {len(expected)}  # one word
 
 
 def test_mixed_length_batch_fails_without_wedging_the_gateway():

@@ -89,5 +89,5 @@ def test_cache_only_worker_loads_from_disk(tmp_path, workload, features, seed_re
     assert [r for r in captured.records if r.name == "backend.compile"] == []
     load = next(r for r in captured.records if r.name == "program.cache.load")
     assert load.attrs["hit"] is True
-    assert worker.session.backend.program == warm
+    assert worker.session.program == warm
     assert reply.decisions == seed_reply.decisions

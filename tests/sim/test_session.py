@@ -1,11 +1,12 @@
-"""Contract tests for :class:`repro.sim.backends.session.BackendSession`.
+"""Contract tests for the serving worker's bound session.
 
-The load-bearing property: a session bound to the constant input nets is a
-pure refactoring of the call site — ``session.run_arrays(varying)`` and
-``session.run_timed(varying, spacer)`` are bit-identical to handing the
-backend the fully merged stimulus directly, on both vectorized backends.
-The serving worker relies on this to bind the exclude-rail configuration
-once and stream only feature planes per micro-batch.
+``InferenceWorker.session`` is a :class:`~repro.sim.backends.bitpack.BoundProgram`
+with the exclude rails bound as constants once; each word passes only the
+feature rails.  The load-bearing property: that binding is a pure
+refactoring of the call site — the session's verdict rows, and the
+attribution path's latency and energy (the bound constants merged with the
+feature planes), are bit-identical to handing each vectorized backend the
+fully merged stimulus of the analysis harness directly.
 """
 
 from __future__ import annotations
@@ -13,119 +14,61 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import random_workload
 from repro.analysis.measure import (
     build_mapped_dual_rail,
-    default_workload,
     spacer_assignments,
+    verdict_signal,
     workload_input_planes,
 )
-from repro.sim.backends import (
-    BackendError,
-    BackendSession,
-    BatchBackend,
-    BitpackBackend,
-    EventBackend,
-)
+from repro.serve.worker import InferenceWorker, ModelSpec
+from repro.sim.backends import BatchBackend, BitpackBackend
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return default_workload(num_features=4, clauses_per_polarity=8, num_operands=12)
-
-
-def _split_planes(planes):
-    """Split full input planes into (constant scalars, varying arrays)."""
-    constants, varying = {}, {}
-    for net, plane in planes.items():
-        plane = np.asarray(plane)
-        if np.all(plane == plane.flat[0]):
-            constants[net] = int(plane.flat[0])
-        else:
-            varying[net] = plane
-    assert constants and varying, "test needs both kinds of net"
-    return constants, varying
-
-
-@pytest.mark.parametrize("backend_cls", [BatchBackend, BitpackBackend])
-def test_session_run_arrays_matches_direct_merged_call(umc, workload, backend_cls):
-    """Functional results are bit-identical to the unmerged direct call."""
-    mapped = build_mapped_dual_rail(workload.config, umc)
-    backend = backend_cls(mapped.circuit.netlist, umc)
-    planes = workload_input_planes(mapped.circuit, mapped.datapath, workload)
-    constants, varying = _split_planes(planes)
-
-    direct = backend.run_arrays(planes)
-    session = BackendSession(backend, constants)
-    via_session = session.run_arrays(varying)
-
-    assert via_session.samples == direct.samples
-    for rail in mapped.circuit.all_output_rails():
-        np.testing.assert_array_equal(via_session.values[rail], direct.values[rail])
-
-
-@pytest.mark.parametrize("backend_cls", [BatchBackend, BitpackBackend])
-def test_session_run_timed_matches_direct_merged_call(umc, workload, backend_cls):
-    """Timed latency/energy are bit-identical to the unmerged direct call."""
-    mapped = build_mapped_dual_rail(workload.config, umc)
-    backend = backend_cls(mapped.circuit.netlist, umc)
-    planes = workload_input_planes(mapped.circuit, mapped.datapath, workload)
-    spacer = spacer_assignments(mapped.circuit)
-    constants, varying = _split_planes(planes)
-    rails = mapped.circuit.all_output_rails()
-
-    direct = backend.run_timed(planes, spacer)
-    session = BackendSession(backend, constants)
-    via_session = session.run_timed(varying, spacer)
-
-    np.testing.assert_array_equal(
-        via_session.max_arrival(rails, "valid"), direct.max_arrival(rails, "valid")
-    )
-    np.testing.assert_array_equal(
-        via_session.energy_per_sample_fj, direct.energy_per_sample_fj
+    # 65 operands span a word boundary; with this seed most single exclude
+    # bits change some verdict, so a misbound constant shows in the rows.
+    return random_workload(
+        num_features=4, clauses_per_polarity=8, num_operands=65, seed=17
     )
 
 
-def test_session_reuses_cached_constant_planes(umc, workload):
-    """Same batch size -> the broadcast constant planes are built once."""
+@pytest.fixture(scope="module")
+def features(workload):
+    return np.asarray(workload.feature_vectors, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("backend_cls", [BatchBackend, BitpackBackend])
+def test_session_run_arrays_matches_direct_merged_call(umc, workload, features, backend_cls):
+    """The session's verdict rows are bit-identical to the merged direct call."""
+    worker = InferenceWorker(ModelSpec.from_workload(workload, library=umc))
+    rows = worker.session.run_arrays(np.concatenate((features, 1 - features), axis=1))
+
+    backend = backend_cls(worker.circuit.netlist, umc)
+    direct = backend.run_arrays(
+        workload_input_planes(worker.circuit, worker.datapath, workload)
+    )
+    rails = verdict_signal(worker.circuit).rails
+    assert rows.shape == (len(rails), workload.num_operands)
+    np.testing.assert_array_equal(rows, np.stack([direct.values[r] for r in rails]))
+
+
+@pytest.mark.parametrize("backend_cls", [BatchBackend, BitpackBackend])
+def test_session_run_timed_matches_direct_merged_call(umc, workload, features, backend_cls):
+    """Attribution latency/energy are bit-identical to the merged direct call."""
+    worker = InferenceWorker(
+        ModelSpec.from_workload(workload, library=umc, attribution=True)
+    )
+    reply = worker.classify(features)
+
     mapped = build_mapped_dual_rail(workload.config, umc)
-    backend = BatchBackend(mapped.circuit.netlist, umc)
-    planes = workload_input_planes(mapped.circuit, mapped.datapath, workload)
-    constants, varying = _split_planes(planes)
-    session = BackendSession(backend, constants)
-
-    session.run_arrays(varying)
-    first = session._plane_cache[workload.num_operands]
-    session.run_arrays(varying)
-    assert session._plane_cache[workload.num_operands] is first
-
-    ragged = {net: plane[:5] for net, plane in varying.items()}
-    session.run_arrays(ragged)
-    assert set(session._plane_cache) == {workload.num_operands, 5}
-
-
-def test_session_rejects_overlapping_and_unknown_nets(umc, workload):
-    """Overlap with bound constants and unknown nets fail loudly."""
-    mapped = build_mapped_dual_rail(workload.config, umc)
-    backend = BatchBackend(mapped.circuit.netlist, umc)
-    planes = workload_input_planes(mapped.circuit, mapped.datapath, workload)
-    constants, varying = _split_planes(planes)
-
-    with pytest.raises(KeyError, match="does not exist"):
-        BackendSession(backend, {"no_such_net": 1})
-    with pytest.raises(BackendError, match="must be Boolean"):
-        BackendSession(backend, {next(iter(constants)): 2})
-
-    session = BackendSession(backend, constants)
-    overlap_net = next(iter(constants))
-    bad = dict(varying)
-    bad[overlap_net] = np.zeros(workload.num_operands, dtype=np.uint8)
-    with pytest.raises(BackendError, match="overlap bound constants"):
-        session.run_arrays(bad)
-
-
-def test_session_requires_a_vectorized_backend(umc, workload):
-    """The event backend has no run_arrays; sessions refuse it upfront."""
-    mapped = build_mapped_dual_rail(workload.config, umc)
-    event = EventBackend(mapped.circuit.netlist, umc)
-    with pytest.raises(BackendError, match="run_arrays"):
-        BackendSession(event)
+    circuit = mapped.circuit
+    direct = backend_cls(circuit.netlist, umc).run_timed(
+        workload_input_planes(circuit, mapped.datapath, workload),
+        spacer_assignments(circuit),
+    )
+    np.testing.assert_array_equal(
+        reply.latency_ps, direct.max_arrival(circuit.all_output_rails(), "valid")
+    )
+    np.testing.assert_array_equal(reply.energy_fj, direct.energy_per_sample_fj)

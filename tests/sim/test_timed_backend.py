@@ -280,6 +280,47 @@ def test_every_dispatch_shape_matches_event_simulator(umc, rest):
     assert timed.activity_by_cell == committed
 
 
+def test_glitching_inner_term_times_its_complex_gate(umc):
+    """A complex gate's inner term is timed even when it ends where it started.
+
+    ``d`` falls late through three inverters, so the AO22's ``c & d`` term
+    rises at once and falls with ``d``: it holds ``y`` high until then.
+    The term starts and ends at 0, and masking its arrival to 0 for that
+    reason timed ``y`` from ``a`` alone (43.26 ps instead of 104.94 ps).
+    """
+    from repro.circuits.netlist import Netlist
+    from repro.sim.simulator import GateLevelSimulator
+
+    netlist = Netlist("ao22_glitch")
+    for net in "abce":
+        netlist.add_input(net)
+    netlist.add_output("y")
+    netlist.add_cell("INV", inputs={"A": "e"}, outputs={"Y": "e1"}, name="u1")
+    netlist.add_cell("INV", inputs={"A": "e1"}, outputs={"Y": "e2"}, name="u2")
+    netlist.add_cell("INV", inputs={"A": "e2"}, outputs={"Y": "d"}, name="u3")
+    netlist.add_cell("AO22", inputs={"A1": "a", "A2": "b", "B1": "c", "B2": "d"},
+                     outputs={"Y": "y"}, name="u4")
+    spacer = {"a": 1, "b": 1, "c": 0, "e": 0}
+    valid = {"a": 0, "b": 1, "c": 1, "e": 1}
+    timed = BatchBackend(netlist, umc).run_timed(
+        {net: [value] for net, value in valid.items()}, spacer
+    )
+
+    sim = GateLevelSimulator(netlist, umc)
+    sim.set_inputs(spacer)
+    sim.settle()
+    for phase, assignment in (("valid", valid), ("reset", spacer)):
+        origin = sim.time
+        sim.set_inputs(assignment)
+        sim.settle()
+        (edge,) = [r for r in sim.transitions_between(origin, sim.time) if r.net == "y"]
+        np.testing.assert_allclose(
+            timed.arrival_of("y", phase), [edge.time - origin], rtol=RTOL,
+            err_msg=f"{phase} arrival of y",
+        )
+    assert timed.arrival_of("y", "valid")[0] == pytest.approx(104.94, rel=RTOL)
+
+
 def test_timed_requires_library_and_functional_supply(umc):
     """The timed engine refuses meaningless configurations."""
     workload = random_workload(num_features=3, clauses_per_polarity=2,

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Union
@@ -157,7 +159,13 @@ class ResultStore:
         return point
 
     def put(self, key: str, point) -> Path:
-        """Persist *point* under *key*; returns the entry path."""
+        """Persist *point* under *key*; returns the entry path.
+
+        The entry is written to a same-directory temporary file, named
+        outside the ``*.json`` glob and unique to the writing thread, and
+        moved into place with :func:`os.replace`: a racing reader sees no
+        entry or a complete one, never half of one.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         record = {
@@ -165,7 +173,13 @@ class ResultStore:
             "evaluator_version": EVALUATOR_VERSION,
             "point": point.to_dict(),
         }
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        tmp = self.directory / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     def __len__(self) -> int:

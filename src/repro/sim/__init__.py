@@ -21,8 +21,8 @@ Contents:
   ``get_backend(name, program=...)``), and its content-hash-addressed
   on-disk cache shared across worker processes;
 * :mod:`repro.sim.kernels` — the grouped-kernel execution engine of the
-  bitpack backend: per-level gather/scatter groups, one vectorized call
-  per cell shape per level.
+  bitpack backend: per-level gather/scatter groups compiled into AND/OR
+  reduce steps over one stacked plane matrix, a few steps per level.
 """
 
 from .backends import (

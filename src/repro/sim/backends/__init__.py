@@ -10,8 +10,8 @@ to use which backend.  Summary:
   cycle-level switching activity) at orders-of-magnitude higher
   throughput; the one-cell-at-a-time reference interpreter;
 * ``get_backend("bitpack", netlist, library)`` — the bit-packed 64-lane
-  engine: 64 samples per ``uint64`` word, two bit-planes per net, every
-  same-shaped cell of a level one grouped bitwise op.  The fastest
+  engine: 64 samples per ``uint64`` word, two bit-planes per net, each
+  level a few AND/OR reduce steps over the stacked planes.  The fastest
   functional backend, bit-identical to ``"batch"``.
 
 The vectorized backends additionally expose ``run_timed`` — the

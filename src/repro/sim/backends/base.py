@@ -23,8 +23,8 @@ side.  Three implementations ship with the repo:
 ``"bitpack"``
     :class:`~repro.sim.backends.bitpack.BitpackBackend` — the same levelized
     evaluation, but with 64 samples packed into each ``uint64`` word (two
-    bit-planes per net for three-valued logic) and every same-shaped cell
-    of a level evaluated in one grouped call (:mod:`repro.sim.kernels`).
+    bit-planes per net for three-valued logic) and each level evaluated as
+    a few AND/OR reduce steps over the stacked planes (:mod:`repro.sim.kernels`).
     The fastest functional backend; bit-identical to ``"batch"``.
 
 Backends are looked up by name through :func:`get_backend`, so experiment

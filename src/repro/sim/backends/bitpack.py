@@ -6,10 +6,10 @@ word — so that evaluating a gate over the whole batch costs a handful of
 bitwise word operations instead of one byte-per-sample NumPy pass (the
 ``"batch"`` backend) or one full event-driven settle per sample (the
 ``"event"`` backend).  This is the same trick production logic simulators
-use for functional regression runs.  On top of the packing, every
-same-shaped cell of a level is evaluated in one grouped call over
-``(nets, words)`` plane matrices — the grouped plan of
-:mod:`repro.sim.kernels` — so there is no per-cell Python loop either.
+use for functional regression runs.  On top of the packing, a whole level
+is evaluated in a few table steps over one stacked plane matrix — the
+AND/OR family of :mod:`repro.sim.kernels`, one gather, reduce and scatter
+per step — so there is no per-cell Python loop either.
 
 Value encoding
 --------------
@@ -22,11 +22,13 @@ paper's circuits themselves use:
     bit *k* set ⇔ sample *k* settled to logic 0.
 
 A sample with neither bit set is unknown (``X``); both bits set never
-occurs (the evaluators preserve this invariant).  The payoff is that the
+occurs (the kernel preserves this invariant).  The payoff is that the
 three-valued controlling-value semantics of :mod:`repro.circuits.gates`
 become closed-form word ops — for AND, ``ones = AND`` of the ones-planes
 (all inputs known-1) and ``zeros = OR`` of the zeros-planes (any input
 known-0); OR is the exact dual; an inverter merely *swaps* the planes.
+So every unate cell's output plane is one AND or OR over plane rows, which
+is what lets the kernel run a level as an AND-reduce and an OR-reduce.
 Settled values therefore match the event and batch backends gate for gate
 (the equivalence tests assert this).
 
@@ -201,6 +203,10 @@ class BitpackBackend:
 
     The grouped kernel is fetched (and built, the first time a program is
     run) on first use, not here; :meth:`run_timed` runs the same plan.
+    Each :meth:`run_arrays` call packs the stimulus into the kernel's
+    stacked matrix — X fill for undriven rows, the all-ones row set, the
+    scratch rows left for the kernel to write — and reads the results back
+    through its ``ones``/``zeros`` plane views.
     """
 
     name = "bitpack"
@@ -275,7 +281,8 @@ class BitpackBackend:
         inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Pack the stimulus into the plane matrices and run the level sweeps."""
-        plan = self._kernel.plan
+        kernel = self._kernel
+        plan = kernel.plan
         with _trace.span("bitpack.pack") as pack_span:
             # Normalize straight into a word-aligned stacked matrix (padding
             # lanes stay zero), so the whole stimulus packs in one
@@ -290,8 +297,8 @@ class BitpackBackend:
             # and undriven nets (the batch engine's X plane).  The level
             # sweeps overwrite every driven row, so only undriven
             # rows not in the stimulus actually need the zero fill.
-            ones = np.empty((plan.num_nets, words), dtype=np.uint64)
-            zeros = np.empty((plan.num_nets, words), dtype=np.uint64)
+            matrix = kernel.new_matrix(words)
+            ones, zeros = kernel.planes(matrix)
             idle = np.setdiff1d(plan.nonoutput_rows, rows)
             ones[idle] = 0
             zeros[idle] = 0
@@ -316,7 +323,7 @@ class BitpackBackend:
                     ones[row] = 0
                     zeros[row] = valid_mask
         with _trace.span("bitpack.levels", cells=len(self.program.ops)):
-            self._kernel.execute(ones, zeros)
+            kernel.execute(matrix)
         return ones, zeros, samples
 
     def _rest_planes(
@@ -403,14 +410,16 @@ class BoundProgram:
     only a few input nets changing per call (the feature rails), while
     hundreds of configuration nets (the clause exclude rails) carry the same
     value every time.  Construction resolves the rows of the constant, input
-    and output nets once and keeps one ``(nets, 1)`` ``uint64`` plane pair
-    pre-filled with the program's TIE rows and the *constants*, X elsewhere.
-    :meth:`run_arrays` then copies that template, packs the inputs with one
-    ``np.packbits`` and runs the grouped kernel: no name-keyed dict, no
-    stimulus normalization and no activity accounting per call.
+    and output nets once and keeps a one-word template of the kernel's
+    stacked matrix, pre-filled with the program's TIE rows, the *constants*
+    and the all-ones row, X elsewhere.  :meth:`run_arrays` then copies that
+    template, packs the inputs with one ``np.packbits``, runs the kernel's
+    AND/OR reduce steps and gathers the output planes in one call: no
+    name-keyed dict, no stimulus normalization and no activity accounting
+    per call.
 
-    Constant rows fill all 64 lanes of a word.  That is exact: every plane
-    evaluator is lane-wise, and only the first ``lanes`` columns are read.
+    Constant rows fill all 64 lanes of a word.  That is exact: every kernel
+    step is lane-wise, and only the first ``lanes`` columns are read.
 
     Parameters
     ----------
@@ -443,19 +452,22 @@ class BoundProgram:
             )
         #: The compile artifact this instance executes.
         self.program = program
-        self._kernel = fused_kernel(program)
-        index = self._kernel.plan.net_index
+        self._kernel = kernel = fused_kernel(program)
+        index = kernel.plan.net_index
+        nets = kernel.plan.num_nets
         fixed = dict(constants)
         fixed.update(program.constants)  # TIE cells win, as in BitpackBackend
         const_rows = _net_rows(index, list(fixed), "constant")
         self._input_rows = _net_rows(index, inputs, "input")
-        self._output_rows = _net_rows(index, outputs, "output")
+        self._input_zero_rows = self._input_rows + nets
+        output_rows = _net_rows(index, outputs, "output")
+        #: The ones rows of the outputs, then their zeros rows: one gather.
+        self._output_planes = np.concatenate((output_rows, output_rows + nets))
         high = np.array([int(value) == 1 for value in fixed.values()], dtype=bool)
-        every_lane = ~np.uint64(0)
-        self._ones = np.zeros((self._kernel.plan.num_nets, 1), dtype=np.uint64)
-        self._zeros = np.zeros_like(self._ones)
-        self._ones[const_rows[high]] = every_lane
-        self._zeros[const_rows[~high]] = every_lane
+        self._template = template = kernel.new_matrix(1)
+        template[: 2 * nets] = 0
+        template[const_rows[high]] = ~np.uint64(0)
+        template[const_rows[~high] + nets] = ~np.uint64(0)
 
     def run_arrays(self, values: np.ndarray) -> np.ndarray:
         """Evaluate one batch; returns the output rows.
@@ -466,17 +478,15 @@ class BoundProgram:
         """
         lanes = values.shape[0]
         words = words_for(lanes)
-        ones = np.repeat(self._ones, words, axis=1)
-        zeros = np.repeat(self._zeros, words, axis=1)
+        matrix = np.repeat(self._template, words, axis=1)
         bits = np.zeros((values.shape[1], words * WORD_BITS), dtype=np.uint8)
         bits[:, :lanes] = values.T
         packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
         # Lanes past *lanes* read as 0 here; they are never read back.
-        ones[self._input_rows] = packed
-        zeros[self._input_rows] = ~packed
-        self._kernel.execute(ones, zeros)
-        rows = self._output_rows
-        planes = np.concatenate((ones[rows], zeros[rows])).view(np.uint8)
+        matrix[self._input_rows] = packed
+        matrix[self._input_zero_rows] = ~packed
+        self._kernel.execute(matrix)
+        planes = matrix[self._output_planes].view(np.uint8)
         unpacked = np.unpackbits(planes, axis=1, bitorder="little")[:, :lanes]
         one_bits, zero_bits = np.split(unpacked, 2)
         return np.where(one_bits == 1, np.uint8(1),

@@ -1,23 +1,43 @@
 """Grouped-kernel execution engine of the bitpack backend.
 
 Executing a :class:`~repro.sim.program.CompiledProgram` one cell at a time
-costs a Python loop iteration, a list-comprehension gather, a function call
-and a handful of small NumPy ops per cell.  For the bit-packed engine —
-where a whole 10k-sample batch is ~160 ``uint64`` words per net — that
-per-cell interpreter overhead dominates the actual bitwise work by an
-order of magnitude.
+costs a Python loop iteration, a gather, a function call and a handful of
+small NumPy ops per cell.  For the bit-packed engine — where a whole
+10k-sample batch is ~160 ``uint64`` words per net, and a served word is
+one — that per-call overhead dominates the actual bitwise work.
 
-This module removes the per-cell loop.  :func:`build_grouped_plan` buckets
-a program's ops **per level and per dispatch tag** (the vocabulary of
+This module removes it in two layers.  :func:`build_grouped_plan` buckets a
+program's ops **per level and per dispatch tag** (the vocabulary of
 :func:`~repro.sim.backends.base.classify_cell_type`) into contiguous
-gather/scatter index arrays, so one vectorized call — e.g. a single
-``&`` over the gathered input planes of every AND2 in the level —
-evaluates the whole group at once.  Values live in one ``(num_nets,
-words)`` matrix per bit-plane instead of a ``net → array`` dict; gathers
-and scatters are NumPy fancy indexing on row indices.  Execution is a
-small interpreter: one Python dispatch per *group* per level, with the
-per-group evaluators below doing all the math.  The timed engine
-(:mod:`repro.sim.backends.timed`) runs the same plan with its own rules.
+gather/scatter index arrays; the timed engine
+(:mod:`repro.sim.backends.timed`) runs that plan with its own per-shape
+arrival rules.  :class:`FusedKernel` then compiles the plan into the
+**AND/OR family**: in the two-plane encoding (a ``ones`` and a ``zeros``
+bit-plane per net) every output plane of a unate cell is a plain AND or OR
+of input-plane rows, and an inversion, of an input or of the output, is
+only a choice of row (the and-inverter-graph view of logic).
+
+Values live in one stacked ``(rows, words)`` matrix: rows ``[0, nets)``
+are the ``ones`` planes, ``[nets, 2·nets)`` the ``zeros`` planes, then an
+all-ones row, an all-zeros row, and two scratch rows per inner term of a
+complex gate or MAJ3.  Each level runs as table steps, one gather, one
+reduce and one scatter each:
+
+* an ``A`` (AND-reduce) step and a ``B`` (OR-reduce) step over the output
+  planes of the level's cells.  AND, NAND, OR, NOR, C-elements, BUF and INV
+  are one entry per output plane (AND: ``ones ← A(ones)``, ``zeros ←
+  B(zeros)``; NAND reads the same rows into the swapped planes; a
+  C-element is ``A`` on both planes);
+* in levels holding AO/OA/AOI/OAI or MAJ3 cells, a first ``A``/``B`` pair
+  writes their inner terms to scratch rows, which the outer entries then
+  reduce.
+
+Entries shorter than their step pad with the reduce identity (the all-ones
+row for ``A``, the all-zeros row for ``B``).  Only XOR/XNOR, the
+non-unate cells, keep a per-group evaluator.  A step's index array is laid
+out ``(arity, entries)``, so its gather is ``(arity, entries, words)`` and
+the reduce runs over whole contiguous ``(entries, words)`` slabs: one form
+serves a one-word served request and a 10,000-lane batch alike.
 
 The engine is **bit-identical** to the looped dense interpreter of
 :class:`~repro.sim.backends.batch.BatchBackend` (and therefore to the event
@@ -27,10 +47,12 @@ randomized netlists, batch shapes and X-laden stimulus.
 
 Observability
 -------------
-Plan construction runs under a ``kernel.build`` span (levels, groups,
-cells); each level's grouped execution runs under a ``kernel.level_group``
-span.  The backend's own ``bitpack.pack`` / ``bitpack.levels`` /
-``bitpack.activity`` spans wrap them.
+Kernel construction (plan bucketing plus the table build) runs under one
+``kernel.build`` span (levels, groups, cells, steps).
+:meth:`FusedKernel.execute` opens no span of its own, so a traced call records the same spans however
+deep the program: the bitpack backend wraps it in ``bitpack.levels``
+(beside ``bitpack.pack`` and ``bitpack.activity``), and the serving worker
+wraps each word in ``worker.classify``.
 """
 
 from __future__ import annotations
@@ -68,9 +90,8 @@ class OpGroup:
         order — the gather array.
     in_cols:
         The same indices as per-pin contiguous ``(cells,)`` columns
-        (``in_cols[p][g]`` = row of member *g*'s pin *p*): the low-arity
-        evaluators gather one pin plane at a time, which beats a stacked
-        3-D gather + reduce for the 2-input gates dominating real netlists.
+        (``in_cols[p][g]`` = row of member *g*'s pin *p*), for the per-pin
+        rules of the timed engine and the XOR evaluator.
     out_idx:
         ``(cells,)`` net-row indices of the members' outputs — the scatter
         array.
@@ -211,45 +232,34 @@ def build_grouped_plan(program) -> GroupedPlan:
 
 
 # ---------------------------------------------------------------------------
-# Bit-plane group evaluators.  Each takes the two ``(nets, words)`` plane
-# matrices plus the group, gathers the member rows pin by pin
-# (``group.in_cols``), and returns the output ``(cells, words)`` plane
-# pair; semantics match repro.sim.backends.bitpack.  Gathering one
-# pin column at a time keeps every temporary at ``(cells, words)`` and the
-# op count at ``arity - 1`` per plane — measurably faster than a stacked
-# 3-D gather + ``ufunc.reduce`` for the 2-input gates real netlists are
-# mostly made of.
+# The AND/OR family: every unate cell plane as reduce-table entries.
 # ---------------------------------------------------------------------------
 
-_PlanePairFn = Callable[[np.ndarray, np.ndarray, OpGroup], Tuple[np.ndarray, np.ndarray]]
+#: Reduce kinds of a table step: ``A`` ANDs its gathered rows, ``B`` ORs them.
+_A, _B = 0, 1
+_REDUCE = (np.bitwise_and.reduce, np.bitwise_or.reduce)
 
+#: ``tag -> ((kind, source plane) of the ones row, (kind, source plane) of
+#: the zeros row)`` for the shapes that are one entry per output plane, with
+#: plane 0 the inputs' ``ones`` rows and 1 their ``zeros`` rows.  An
+#: inversion, of an input or of the output, is only a choice of plane.
+_FAMILY = {
+    "and": ((_A, 0), (_B, 1)),
+    "nand": ((_B, 1), (_A, 0)),
+    "or": ((_B, 0), (_A, 1)),
+    "nor": ((_A, 1), (_B, 0)),
+    "c": ((_A, 0), (_A, 1)),
+    "buf": ((_A, 0), (_A, 1)),
+    "inv": ((_A, 1), (_A, 0)),
+}
 
-def _chain(op, matrix: np.ndarray, cols: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Fold *op* over the gathered pin columns (one ``(cells, words)`` temp)."""
-    if len(cols) == 1:
-        return matrix[cols[0]]
-    acc = op(matrix[cols[0]], matrix[cols[1]])
-    for col in cols[2:]:
-        op(acc, matrix[col], out=acc)
-    return acc
+#: MAJ3 as AO222 over its pin pairs (AB, AC, BC).  Majority is self-dual,
+#: so the AO form's zeros plane, an AND of pair ORs, is the majority of the
+#: zeros bits too: the same Boolean function of every plane bit.
+_MAJ3_AS_AO222 = ([0, 1, 0, 2, 1, 2], (2, 2, 2))
 
-
-def _p_and(ones, zeros, group):
-    """Grouped bit-plane AND: ones = AND of ones, zeros = OR of zeros."""
-    cols = group.in_cols
-    return _chain(np.bitwise_and, ones, cols), _chain(np.bitwise_or, zeros, cols)
-
-
-def _p_or(ones, zeros, group):
-    """Grouped bit-plane OR: ones = OR of ones, zeros = AND of zeros."""
-    cols = group.in_cols
-    return _chain(np.bitwise_or, ones, cols), _chain(np.bitwise_and, zeros, cols)
-
-
-def _p_c(ones, zeros, group):
-    """Grouped bit-plane C-element: all-1 → 1, all-0 → 0, else X."""
-    cols = group.in_cols
-    return _chain(np.bitwise_and, ones, cols), _chain(np.bitwise_and, zeros, cols)
+#: One table step: ``(reduce, (arity, entries) source rows, (entries,) rows)``.
+_Step = Tuple[Callable, np.ndarray, np.ndarray]
 
 
 def _p_xor(ones, zeros, group):
@@ -265,77 +275,79 @@ def _p_xor(ones, zeros, group):
     return acc, known ^ acc
 
 
-def _p_maj3(ones, zeros, group):
-    """Grouped bit-plane 3-input majority (controlling 2-of-3)."""
-    c0, c1, c2 = group.in_cols
-    o0, o1, o2 = ones[c0], ones[c1], ones[c2]
-    z0, z1, z2 = zeros[c0], zeros[c1], zeros[c2]
-    return (o0 & o1) | (o0 & o2) | (o1 & o2), (z0 & z1) | (z0 & z2) | (z1 & z2)
+def _bind_level(level: Tuple[OpGroup, ...], nets: int,
+                scratch: int) -> Tuple[Tuple[_Step, ...], Tuple[OpGroup, ...], int]:
+    """The reduce steps and XOR groups of one level, and the next free row.
 
-
-def _p_complex_stacked(pin_groups: Tuple[int, ...], inner_and: bool,
-                       inverting: bool):
-    """Stacked-gather AOI/OAI/AO/OA evaluator (``fn(O, Z)`` over 3-D stacks).
-
-    Complex gates are rare enough that the generic stacked form is kept.
+    Each group contributes blocks of entries, ``(source rows, destination
+    rows)``, to up to four steps: an ``A`` and a ``B`` step for the inner
+    terms of complex gates and MAJ3 (written to scratch rows from *scratch*
+    on), then an ``A`` and a ``B`` step for the output planes.  Each step's
+    index arrays are preallocated and filled by slices, padding short
+    entries with the reduce identity (the all-ones row for ``A``, the
+    all-zeros row for ``B``), so the build costs a few NumPy calls per
+    group, not per cell.
     """
-
-    def fn(ones: np.ndarray, zeros: np.ndarray):
-        """Inner op per pin group, outer op across groups, optional plane swap."""
-        term_ones: List[np.ndarray] = []
-        term_zeros: List[np.ndarray] = []
+    # Steps: inner A, inner B, outer A, outer B (step index = 2·phase + kind).
+    blocks: Tuple[list, ...] = ([], [], [], [])
+    xors: List[OpGroup] = []
+    for group in level:
+        tag = group.tag
+        if tag in ("xor", "xnor"):
+            xors.append(group)
+            continue
+        pins, pin_groups = group.in_idx.T, group.pin_groups
+        if tag == "maj3":
+            (order, pin_groups), tag = _MAJ3_AS_AO222, "ao"
+            pins = pins[order]
+        # planes[0] holds the members' ones rows per pin, planes[1] their
+        # zeros rows; dests likewise for the outputs.
+        planes = (pins, pins + nets)
+        dests = (group.out_idx, group.out_idx + nets)
+        cells = pins.shape[1]
+        family = _FAMILY.get(tag)
+        if family is not None:
+            (kind_o, plane_o), (kind_z, plane_z) = family
+            blocks[2 + kind_o].append((planes[plane_o], dests[0]))
+            blocks[2 + kind_z].append((planes[plane_z], dests[1]))
+            continue
+        inner_and, inverting = COMPLEX_GATE_SHAPES[tag]
+        kind_o, kind_z = (_A, _B) if inner_and else (_B, _A)
+        # terms[0] holds each term's ones rows, terms[1] its zeros rows.
+        terms = np.empty((2, len(pin_groups), cells), dtype=np.intp)
         lo = 0
-        for width in pin_groups:
-            seg_o = ones[:, lo: lo + width]
-            seg_z = zeros[:, lo: lo + width]
-            if width == 1:
-                to, tz = seg_o[:, 0], seg_z[:, 0]
-            elif inner_and:
-                to = np.bitwise_and.reduce(seg_o, axis=1)
-                tz = np.bitwise_or.reduce(seg_z, axis=1)
+        for t, width in enumerate(pin_groups):
+            if width == 1:  # a one-pin group reads the pin's rows directly
+                terms[0, t], terms[1, t] = planes[0][lo], planes[1][lo]
             else:
-                to = np.bitwise_or.reduce(seg_o, axis=1)
-                tz = np.bitwise_and.reduce(seg_z, axis=1)
-            term_ones.append(to)
-            term_zeros.append(tz)
+                terms[:, t] = np.arange(scratch, scratch + 2 * cells).reshape(2, cells)
+                scratch += 2 * cells
+                blocks[kind_o].append((planes[0][lo: lo + width], terms[0, t]))
+                blocks[kind_z].append((planes[1][lo: lo + width], terms[1, t]))
             lo += width
-        if inner_and:
-            out_o = np.bitwise_or.reduce(np.stack(term_ones, axis=1), axis=1)
-            out_z = np.bitwise_and.reduce(np.stack(term_zeros, axis=1), axis=1)
-        else:
-            out_o = np.bitwise_and.reduce(np.stack(term_ones, axis=1), axis=1)
-            out_z = np.bitwise_or.reduce(np.stack(term_zeros, axis=1), axis=1)
-        return (out_z, out_o) if inverting else (out_o, out_z)
-
-    return fn
-
-
-def _group_fn(group: OpGroup) -> _PlanePairFn:
-    """The plane-pair evaluator of *group* (inputs gathered in pin order)."""
-    tag = group.tag
-    if tag == "inv":
-        return lambda ones, zeros, g: (zeros[g.in_cols[0]], ones[g.in_cols[0]])
-    if tag == "buf":
-        return lambda ones, zeros, g: (ones[g.in_cols[0]], zeros[g.in_cols[0]])
-    if tag == "and":
-        return _p_and
-    if tag == "nand":
-        return lambda ones, zeros, g: _p_and(ones, zeros, g)[::-1]
-    if tag == "or":
-        return _p_or
-    if tag == "nor":
-        return lambda ones, zeros, g: _p_or(ones, zeros, g)[::-1]
-    if tag == "xor":
-        return _p_xor
-    if tag == "xnor":
-        return lambda ones, zeros, g: _p_xor(ones, zeros, g)[::-1]
-    if tag == "maj3":
-        return _p_maj3
-    if tag == "c":
-        return _p_c
-    inner_and, inverting = COMPLEX_GATE_SHAPES[tag]
-    stacked = _p_complex_stacked(group.pin_groups, inner_and, inverting)
-    return lambda ones, zeros, g: stacked(ones[g.in_idx], zeros[g.in_idx])
+        # The outer op is the inner op's dual; inverting shapes swap planes.
+        if inverting:
+            dests = dests[::-1]
+        blocks[2 + kind_z].append((terms[0], dests[0]))
+        blocks[2 + kind_o].append((terms[1], dests[1]))
+    pad = (2 * nets, 2 * nets + 1)
+    steps: List[_Step] = []
+    for step, entries in enumerate(blocks):
+        if not entries:
+            continue
+        kind = step & 1
+        arity = max([rows.shape[0] for rows, _ in entries])
+        out = np.concatenate([dest for _, dest in entries])
+        idx = np.empty((arity, out.shape[0]), dtype=np.intp)
+        lo = 0
+        for rows, dest in entries:
+            hi = lo + dest.shape[0]
+            idx[: rows.shape[0], lo:hi] = rows
+            if rows.shape[0] < arity:
+                idx[rows.shape[0]:, lo:hi] = pad[kind]
+            lo = hi
+        steps.append((_REDUCE[kind], idx, out))
+    return tuple(steps), tuple(xors), scratch
 
 
 # ---------------------------------------------------------------------------
@@ -538,40 +550,68 @@ def activity_dicts(
 
 
 class FusedKernel:
-    """The grouped plan of one program with its per-group evaluators bound.
+    """The grouped plan of one program bound to AND/OR reduce tables.
 
+    The kernel runs over one stacked ``(rows, words)`` matrix: rows
+    ``[0, nets)`` are the ``ones`` planes and ``[nets, 2·nets)`` the
+    ``zeros`` planes, row :attr:`one_row` is all-ones and :attr:`zero_row`
+    all-zeros (the padding rows of the ``A`` and ``B`` steps), and the rest
+    are scratch rows for the inner terms of complex gates and MAJ3.
     Construction runs under a ``kernel.build`` span: plan bucketing plus
-    evaluator binding.  :meth:`execute` then runs the level sweeps in place
-    over the caller's bit-plane matrices.
+    the table build.  :meth:`execute` then runs the level sweeps in place.
     """
 
     def __init__(self, program) -> None:
         with _trace.span("kernel.build") as span:
             self.plan = plan = build_grouped_plan(program)
-            self._fns = tuple(
-                tuple(_group_fn(group) for group in level) for level in plan.levels
-            )
+            nets = plan.num_nets
+            #: The all-ones (``A`` padding) and all-zeros (``B``) rows.
+            self.one_row, self.zero_row = 2 * nets, 2 * nets + 1
+            scratch = 2 * nets + 2
+            levels = []
+            for level in plan.levels:
+                steps, xors, scratch = _bind_level(level, nets, scratch)
+                levels.append((steps, xors))
+            self._levels = tuple(levels)
+            #: Rows of the stacked matrix :meth:`execute` runs over.
+            self.num_rows = scratch
             span.add(
                 levels=len(plan.levels),
                 groups=plan.num_groups,
                 cells=plan.num_cells,
+                steps=sum(len(steps) for steps, _ in levels),
             )
 
-    def execute(self, ones: np.ndarray, zeros: np.ndarray) -> None:
-        """Run the level sweeps in place over the ``(nets, words)`` planes.
+    def new_matrix(self, words: int) -> np.ndarray:
+        """An uninitialized stacked matrix with its two constant rows set."""
+        matrix = np.empty((self.num_rows, words), dtype=np.uint64)
+        matrix[self.one_row] = ~np.uint64(0)
+        matrix[self.zero_row] = 0
+        return matrix
 
-        Rows of nets without drivers are left untouched (X by
-        initialization), mirroring the looped interpreter.
+    def planes(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(ones, zeros)`` ``(nets, words)`` plane views of *matrix*."""
+        nets = self.plan.num_nets
+        return matrix[:nets], matrix[nets: 2 * nets]
+
+    def execute(self, matrix: np.ndarray) -> None:
+        """Run the level sweeps in place over the stacked *matrix*.
+
+        Each level is its reduce steps, one gather, reduce and scatter each,
+        then its XOR/XNOR groups through the plane views.  Rows of nets
+        without drivers are left untouched (X by initialization), mirroring
+        the looped interpreter; scratch rows are written before they are read.
         """
-        for level_index, level in enumerate(self.plan.levels):
-            with _trace.span(
-                "kernel.level_group", level=level_index, groups=len(level),
-                cells=sum(group.cells for group in level),
-            ):
-                for group, fn in zip(level, self._fns[level_index]):
-                    out_o, out_z = fn(ones, zeros, group)
-                    ones[group.out_idx] = out_o
-                    zeros[group.out_idx] = out_z
+        ones, zeros = self.planes(matrix)
+        for steps, xors in self._levels:
+            for reduce, idx, out in steps:
+                matrix[out] = reduce(matrix.take(idx, axis=0), axis=0)
+            for group in xors:
+                out_o, out_z = _p_xor(ones, zeros, group)
+                if group.tag == "xnor":
+                    out_o, out_z = out_z, out_o
+                ones[group.out_idx] = out_o
+                zeros[group.out_idx] = out_z
 
 
 #: ``id(program) -> (weakref, FusedKernel)``, shared across backend

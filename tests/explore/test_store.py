@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 from repro.circuits.library import CellLibrary, CellModel, VoltageModel, umc_ll_library
 from repro.explore import (
@@ -183,6 +184,38 @@ def test_missing_point_fields_are_misses(tmp_path):
     store.directory.mkdir(parents=True, exist_ok=True)
     store._path(key).write_text(json.dumps({"key": key, "point": truncated}))
     assert store.get(key) is None
+
+
+def test_reader_midway_through_a_put_sees_a_miss_not_a_corrupt_entry(tmp_path, monkeypatch):
+    """A second store's ``get`` runs while ``put`` has written half its bytes.
+
+    An in-place write exposes the half entry under the key, which the
+    reader would count corrupt and delete; an atomic put exposes nothing
+    until the whole entry is in place.
+    """
+    writer = ResultStore(tmp_path / "store")
+    reader = ResultStore(tmp_path / "store")
+    key = point_key(SPEC, SETTINGS, umc_ll_library(), "batch")
+    seen = []
+
+    def interrupted_write_text(self, data, *args, **kwargs):
+        with open(self, "w") as handle:
+            handle.write(data[: len(data) // 2])
+            handle.flush()
+            seen.append(reader.get(key))
+            handle.write(data[len(data) // 2:])
+        return len(data)
+
+    monkeypatch.setattr(Path, "write_text", interrupted_write_text)
+    writer.put(key, make_point())
+    monkeypatch.undo()
+    assert seen == [None]
+    assert reader.corrupt == 0
+    loaded = reader.get(key)
+    assert loaded is not None and loaded.to_dict() == make_point().to_dict()
+    # The temporary file is gone and was never counted as an entry.
+    assert [p.name for p in writer.directory.iterdir()] == [f"{key}.json"]
+    assert len(writer) == 1 and set(writer.entry_digests()) == {key}
 
 
 def test_len_counts_entries_without_a_directory(tmp_path):

@@ -4,7 +4,8 @@ A 2-worker :class:`ProcessPoolClassifier` given a program cache must compile
 the served netlist exactly once (in the parent — trace-verified via the
 ``backend.compile`` span) and classify bit-identically to the seed path;
 a :class:`ModelSpec` can also carry a precompiled program directly, and a
-program compiled from a different netlist is rejected.
+program compiled from a different netlist is rejected.  A served word
+records a fixed number of spans, however deep the program.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.serve.worker import (
     ProcessPoolClassifier,
     precompile_program,
 )
+from repro.sim.kernels import fused_kernel
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +93,18 @@ def test_cache_only_worker_loads_from_disk(tmp_path, workload, features, seed_re
     assert load.attrs["hit"] is True
     assert worker.session.program == warm
     assert reply.decisions == seed_reply.decisions
+
+
+def test_spans_per_served_word_do_not_grow_with_depth():
+    """One traced 1-lane classify on the served model records at most 4 spans."""
+    served = random_workload(
+        num_features=4, clauses_per_polarity=8, num_operands=4, seed=1
+    )
+    worker = InferenceWorker(ModelSpec.from_workload(served))
+    assert len(fused_kernel(worker.session.program).plan.levels) >= 20
+    features = np.asarray(served.feature_vectors[:1], dtype=np.uint8)
+    with trace.capture() as captured:
+        worker.classify(features)
+    names = [record.name for record in captured.records]
+    assert "worker.classify" in names
+    assert len(names) <= 4, names

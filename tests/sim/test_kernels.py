@@ -1,10 +1,11 @@
 """Unit tests for the grouped-kernel engine (:mod:`repro.sim.kernels`).
 
 The differential fuzz suite proves bit-identity on real datapath netlists;
-this file covers what those netlists never reach: the full dispatch
-vocabulary (MAJ3, XOR2/XNOR2 and the AOI/OAI/AO/OA complex gates), the
-error surfaces, the bulk stimulus pack's edge inputs, the rest-state memo
-key, and when the kernel is built.
+this file covers what those netlists never reach: every combinational cell
+type under every 0/1/X input combination in one mixed level (MAJ3,
+XOR2/XNOR2, the AOI/OAI/AO/OA complex gates and the reduce steps' padding
+rows), the error surfaces, the bulk stimulus pack's edge inputs, the
+rest-state memo key, and when the kernel is built.
 """
 
 from __future__ import annotations
@@ -12,12 +13,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.circuits.gates import GATE_REGISTRY
 from repro.circuits.netlist import Netlist
 from repro.sim import compile_program, kernels
 from repro.sim.backends import BackendError
 from repro.sim.backends.batch import BatchBackend
-from repro.sim.backends.bitpack import BitpackBackend
+from repro.sim.backends.bitpack import BitpackBackend, BoundProgram
 from repro.sim.kernels import baseline_memo_key, build_grouped_plan, bulk_stimulus_matrix
+
+#: Ternary sources of the every-shape netlist (AND8/OR8 read all of them).
+TERNARY_SOURCES = 8
+
+#: Input pair per ternary digit: a C2 of the pair settles 0, 1 or X.
+TERNARY_PAIRS = np.array([[0, 0], [1, 1], [0, 1]], dtype=np.uint8)
 
 
 def _all_tags_netlist() -> Netlist:
@@ -88,6 +96,81 @@ def test_every_dispatch_tag_matches_looped(all_tags_program, samples):
     assert set(grouped.values) == set(looped.values)
     assert len(grouped.values) == len(looped.values)
     assert "n_maj" in grouped.values and "nope" not in grouped.values
+
+
+def _every_shape_netlist() -> Netlist:
+    """One cell of every combinational registry type over ternary sources.
+
+    Source *s* is a C2 of the primary inputs ``p{s}a``/``p{s}b``, so it
+    carries 0, 1 or X per lane; the cell of type *T* reads the first
+    ``arity(T)`` sources, which puts every cell in the same level.
+    """
+    net = Netlist("every-shape")
+    sources = []
+    for s in range(TERNARY_SOURCES):
+        pair = (f"p{s}a", f"p{s}b")
+        for name in pair:
+            net.add_input(name)
+        net.add_cell("C2", dict(zip("AB", pair)), {"Y": f"s{s}"}, name=f"src{s}")
+        sources.append(f"s{s}")
+    for cell_type, spec in GATE_REGISTRY.items():
+        if spec.tag is None:  # TIE constants and the flip-flop
+            continue
+        net.add_cell(cell_type, dict(zip(spec.input_pins, sources)),
+                     {"Y": f"y_{cell_type}"}, name=f"g_{cell_type}")
+        net.add_output(f"y_{cell_type}")
+    return net
+
+
+def _ternary_stimulus(digits: np.ndarray, inputs) -> np.ndarray:
+    """``(lanes, inputs)`` 0/1 matrix whose C2 sources carry *digits* (2 = X)."""
+    return TERNARY_PAIRS[digits].reshape(digits.shape[0], len(inputs))
+
+
+def test_every_cell_shape_under_every_ternary_input():
+    """All 3**8 source combinations through one cell of every type.
+
+    The cells share one level mixing kinds and arities, so the reduce
+    steps pad short entries; values, activity and bound-program rows must
+    equal the batch reference interpreter lane for lane.
+    """
+    netlist = _every_shape_netlist()
+    program = compile_program(netlist)
+    kernel = kernels.FusedKernel(program)
+    plan = kernel.plan
+    inputs, outputs = list(netlist.primary_inputs), list(netlist.primary_outputs)
+    level = plan.levels[1]
+    assert sorted(row for group in level for row in group.out_idx.tolist()) == sorted(
+        plan.net_index[net] for net in outputs
+    )
+    assert {group.tag for group in level} == {
+        "inv", "buf", "and", "or", "nand", "nor", "aoi", "oai", "ao", "oa",
+        "maj3", "xor", "xnor", "c",
+    }
+    assert {group.in_idx.shape[1] for group in level} == {1, 2, 3, 4, 5, 8}
+    level_steps, _ = kernel._levels[1]
+    padding = {int(row) for _, idx, _ in level_steps for row in np.unique(idx)}
+    assert {kernel.one_row, kernel.zero_row} <= padding
+
+    lanes = 3 ** TERNARY_SOURCES
+    digits = (np.arange(lanes)[:, None] // 3 ** np.arange(TERNARY_SOURCES)) % 3
+    values = _ternary_stimulus(digits, inputs)
+    stimulus = dict(zip(inputs, values.T))
+    # A rest word whose sources settle to 0, 1 and X.
+    rest_digits = np.arange(TERNARY_SOURCES)[None, :] % 3
+    baseline = dict(zip(inputs, _ternary_stimulus(rest_digits, inputs)[0].tolist()))
+    reference = BatchBackend(program=program).run_arrays(stimulus, baseline=baseline)
+    for s in range(TERNARY_SOURCES):
+        assert set(reference.values[f"s{s}"].tolist()) == {0, 1, 2}
+    packed = BitpackBackend(program=program).run_arrays(stimulus, baseline=baseline)
+    for net in program.nets:
+        assert np.array_equal(packed.values[net], reference.values[net]), net
+    assert packed.activity_by_cell == reference.activity_by_cell
+    assert packed.activity_by_cell_type == reference.activity_by_cell_type
+    assert packed.activity_by_cell  # the baseline makes cells toggle
+
+    rows = BoundProgram(program, {}, inputs, outputs).run_arrays(values)
+    assert np.array_equal(rows, np.stack([reference.values[net] for net in outputs]))
 
 
 def test_unvectorizable_cell_type_is_rejected():

@@ -107,7 +107,8 @@ def default_workload(
         s=3.0,
         seed=seed,
     )
-    machine.fit(dataset.train_x, dataset.train_y, epochs=epochs)
+    with _trace.span("tm.train", samples=dataset.train_x.shape[0], epochs=epochs):
+        machine.fit(dataset.train_x, dataset.train_y, epochs=epochs)
     model = InferenceModel.from_machine(machine)
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, dataset.test_x.shape[0], size=num_operands)

@@ -189,13 +189,14 @@ def build_spec_workload(
         return cached
     with _trace.span("dse.train", dataset=spec.dataset,
                      clauses=spec.clauses_per_polarity):
-        dataset = make_dataset(
-            spec.dataset,
-            num_samples=settings.train_samples,
-            num_features=settings.num_features,
-            booleanizer_levels=spec.booleanizer_levels,
-            seed=settings.seed,
-        )
+        with _trace.span("tm.dataset", dataset=spec.dataset):
+            dataset = make_dataset(
+                spec.dataset,
+                num_samples=settings.train_samples,
+                num_features=settings.num_features,
+                booleanizer_levels=spec.booleanizer_levels,
+                seed=settings.seed,
+            )
         num_features = dataset.num_features
         config = DatapathConfig(
             num_features=num_features,
@@ -208,7 +209,9 @@ def build_spec_workload(
             s=settings.s,
             seed=settings.seed,
         )
-        machine.fit(dataset.train_x, dataset.train_y, epochs=settings.epochs)
+        with _trace.span("tm.train", samples=dataset.train_x.shape[0],
+                         epochs=settings.epochs):
+            machine.fit(dataset.train_x, dataset.train_y, epochs=settings.epochs)
         model = InferenceModel.from_machine(machine)
         decisions = np.array(
             [model.decision(row) for row in dataset.test_x], dtype=np.int8

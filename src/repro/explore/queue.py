@@ -13,7 +13,8 @@ same directory):
   its precomputed store key), so every worker agrees on the work list
   without re-expanding the grid.
 * **Leases** — a worker claims a point by atomically creating
-  ``<store>/queue/leases/<key>.json`` (``O_CREAT | O_EXCL``) carrying its
+  ``<store>/queue/leases/<key>.json`` (a fully written temporary file
+  published with ``os.link``, which fails if the name exists) carrying its
   owner id, a heartbeat deadline and an attempt counter.  Claiming is the
   *only* mutual exclusion in the system; results themselves are
   content-hashed, so even a lost race costs a duplicate evaluation, never a
@@ -374,28 +375,33 @@ class WorkQueue:
             return None
 
     def _write_new_lease(self, lease: Lease) -> bool:
-        """Atomically create the lease file; ``False`` when somebody beat us."""
+        """Publish the lease file whole; ``False`` when somebody beat us.
+
+        The payload is written to a same-directory temporary name outside
+        the ``*.json`` glob and published with ``os.link``, which fails when
+        the lease name exists: exactly one claimant wins, and no rival ever
+        reads a lease file before its payload is in it.
+        """
         self.leases_dir.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(lease.to_dict(), sort_keys=True) + "\n"
+        tmp = self.leases_dir / (
+            f".{lease.key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         try:
-            fd = os.open(
-                self._lease_path(lease.key),
-                os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                0o644,
-            )
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, payload.encode("utf-8"))
+            tmp.write_text(payload)
+            try:
+                os.link(tmp, self._lease_path(lease.key))
+            except FileExistsError:
+                return False
         finally:
-            os.close(fd)
+            tmp.unlink(missing_ok=True)
         return True
 
     def try_claim(self, task: QueueTask) -> Optional[Lease]:
         """Attempt to claim *task*; ``None`` when held, quarantined or lost.
 
-        The fast path is an ``O_CREAT | O_EXCL`` create — exactly one
-        claimant can win it.  When a lease file already exists, it is
+        The fast path publishes a new lease file with ``os.link`` — exactly
+        one claimant can win it.  When a lease file already exists, it is
         honoured while its deadline is in the future; a stale or corrupt
         lease is taken over by winning an atomic ``rename`` (exactly one
         reclaimer can move the file away), carrying the attempt counter
@@ -405,7 +411,7 @@ class WorkQueue:
         A won claim first re-checks the store: another owner may have
         completed the point since the caller's own store check
         (``complete`` writes the entry, then unlinks the lease, so the
-        create above succeeds).  Such a claim is given back and ``None``
+        link above succeeds).  Such a claim is given back and ``None``
         returned; the caller's next store lookup serves the entry, or
         heals a corrupt one so that its next claim stands.
         """

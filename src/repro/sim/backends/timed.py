@@ -98,7 +98,7 @@ import numpy as np
 from repro.circuits.gates import LogicValue
 from repro.obs import trace as _trace
 
-from ..kernels import activity_dicts, bulk_stimulus_matrix, fused_kernel
+from ..kernels import activity_dicts, bulk_stimulus_matrix, grouped_plan
 from ..program import CompiledProgram
 from .base import BackendError, make_cell_type_compiler
 from .batch import (
@@ -367,7 +367,7 @@ def backend_run_timed(
 class TimedProgram:
     """A compiled program bound for vectorized per-sample timing evaluation.
 
-    Binds once (the program's grouped plan, shared with the bitpack kernel,
+    Binds once (the program's memoized grouped plan, shared with the bitpack kernel,
     plus one rule and one ``(cells, 1)`` delay column per group) and then
     runs any number of stimulus batches through :meth:`run`.
 
@@ -408,7 +408,7 @@ class TimedProgram:
         self.vdd = program.vdd
         #: The backend-neutral compile artifact this engine executes.
         self.program = program
-        self.plan = plan = fused_kernel(program).plan
+        self.plan = plan = grouped_plan(program)
         delay = np.zeros(plan.num_nets)  # per driven net row
         delay[plan.out_idx] = [op.delay_ps for op in program.ops]
         if delay_variation:

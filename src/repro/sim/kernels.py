@@ -9,9 +9,10 @@ one — that per-call overhead dominates the actual bitwise work.
 This module removes it in two layers.  :func:`build_grouped_plan` buckets a
 program's ops **per level and per dispatch tag** (the vocabulary of
 :func:`~repro.sim.backends.base.classify_cell_type`) into contiguous
-gather/scatter index arrays; the timed engine
-(:mod:`repro.sim.backends.timed`) runs that plan with its own per-shape
-arrival rules.  :class:`FusedKernel` then compiles the plan into the
+gather/scatter index arrays, memoized per program by
+:func:`grouped_plan`; the timed engine (:mod:`repro.sim.backends.timed`)
+runs that plan with its own per-shape arrival rules.
+:class:`FusedKernel` then compiles the plan into the
 **AND/OR family**: in the two-plane encoding (a ``ones`` and a ``zeros``
 bit-plane per net) every output plane of a unate cell is a plain AND or OR
 of input-plane rows, and an inversion, of an input or of the output, is
@@ -47,8 +48,9 @@ randomized netlists, batch shapes and X-laden stimulus.
 
 Observability
 -------------
-Kernel construction (plan bucketing plus the table build) runs under one
-``kernel.build`` span (levels, groups, cells, steps).
+Kernel construction (the table build, plus the plan bucketing when the
+program's memoized plan is not built yet) runs under one ``kernel.build``
+span (levels, groups, cells, steps).
 :meth:`FusedKernel.execute` opens no span of its own, so a traced call records the same spans however
 deep the program: the bitpack backend wraps it in ``bitpack.levels``
 (beside ``bitpack.pack`` and ``bitpack.activity``), and the serving worker
@@ -557,13 +559,14 @@ class FusedKernel:
     ``zeros`` planes, row :attr:`one_row` is all-ones and :attr:`zero_row`
     all-zeros (the padding rows of the ``A`` and ``B`` steps), and the rest
     are scratch rows for the inner terms of complex gates and MAJ3.
-    Construction runs under a ``kernel.build`` span: plan bucketing plus
-    the table build.  :meth:`execute` then runs the level sweeps in place.
+    Construction runs under a ``kernel.build`` span: the table build, plus
+    the plan bucketing when the program's plan (:func:`grouped_plan`) is
+    not built yet.  :meth:`execute` then runs the level sweeps in place.
     """
 
     def __init__(self, program) -> None:
         with _trace.span("kernel.build") as span:
-            self.plan = plan = build_grouped_plan(program)
+            self.plan = plan = grouped_plan(program)
             nets = plan.num_nets
             #: The all-ones (``A`` padding) and all-zeros (``B``) rows.
             self.one_row, self.zero_row = 2 * nets, 2 * nets + 1
@@ -614,24 +617,43 @@ class FusedKernel:
                 zeros[group.out_idx] = out_z
 
 
-#: ``id(program) -> (weakref, FusedKernel)``, shared across backend
+#: ``id(program) -> (weakref, value)`` memos, shared across backend
 #: instances executing the same CompiledProgram object (e.g. serving
-#: sessions).
-_PROGRAM_MEMO: Dict[int, Tuple[weakref.ref, FusedKernel]] = {}
+#: sessions): the grouped plan, and the kernel bound to it.
+_PLAN_MEMO: Dict[int, Tuple[weakref.ref, GroupedPlan]] = {}
+_KERNEL_MEMO: Dict[int, Tuple[weakref.ref, FusedKernel]] = {}
+
+
+def _memoized(memo: Dict, program, build: Callable):
+    """``build(program)``, memoized in *memo* per program instance.
+
+    Entries are identity-keyed and weakly held: one drops when its program
+    is collected.
+    """
+    key = id(program)
+    entry = memo.get(key)
+    if entry is not None and entry[0]() is program:
+        return entry[1]
+    value = build(program)
+    ref = weakref.ref(program, lambda _r, _k=key: memo.pop(_k, None))
+    memo[key] = (ref, value)
+    return value
+
+
+def grouped_plan(program) -> GroupedPlan:
+    """The grouped plan of *program*, built on first request.
+
+    The timed engine executes the plan directly and :class:`FusedKernel`
+    binds its reduce tables to the same object, so a program run by both
+    engines is bucketed once, and only a functional run builds tables.
+    """
+    return _memoized(_PLAN_MEMO, program, build_grouped_plan)
 
 
 def fused_kernel(program) -> FusedKernel:
     """The grouped kernel of *program*, built on first request.
 
-    Kernels are memoized per program instance (identity-keyed, weakly
-    held), so every backend or session built on one cached program shares
-    one plan.
+    Kernels are memoized per program instance like their plans, so every
+    backend or session built on one cached program shares one kernel.
     """
-    key = id(program)
-    entry = _PROGRAM_MEMO.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1]
-    kernel = FusedKernel(program)
-    ref = weakref.ref(program, lambda _r, _k=key: _PROGRAM_MEMO.pop(_k, None))
-    _PROGRAM_MEMO[key] = (ref, kernel)
-    return kernel
+    return _memoized(_KERNEL_MEMO, program, FusedKernel)

@@ -37,6 +37,17 @@ from .clause import (
 )
 
 
+def _literal_planes(features) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(ones, zeros)`` Boolean literal planes of 0/1 feature rows.
+
+    ``ones`` marks the literals ``[x_0 … x_{o-1}, ¬x_0 … ¬x_{o-1}]`` that
+    are 1 and ``zeros = ~ones`` those that are 0; both take the shape of
+    the literal vector (or matrix) of *features*.
+    """
+    ones = literals_from_features(np.asarray(features, dtype=np.int8)) == 1
+    return ones, ~ones
+
+
 @dataclass
 class TrainingHistory:
     """Per-epoch training statistics."""
@@ -121,8 +132,22 @@ class TsetlinMachine:
 
     def predict_batch(self, samples: np.ndarray) -> np.ndarray:
         """Binary predictions for a matrix of samples."""
-        samples = np.asarray(samples, dtype=np.int8)
-        return np.array([self.predict(row) for row in samples], dtype=np.int8)
+        _, zeros = _literal_planes(samples)
+        return self._predict_planes(zeros)
+
+    def _predict_planes(self, zeros: np.ndarray) -> np.ndarray:
+        """Predictions from the ``(samples, literals)`` zero-literal plane.
+
+        One matrix product counts each clause's violated literals on every
+        sample at once; a clause fires when it has none and includes at
+        least one literal (an empty clause does not fire at inference).
+        """
+        include = self.team.include_actions()
+        violations = zeros.astype(np.int32) @ include.T.astype(np.int32)
+        fires = (violations == 0) & include.any(axis=1)
+        votes = (np.count_nonzero(fires[:, 0::2], axis=1)
+                 - np.count_nonzero(fires[:, 1::2], axis=1))
+        return (votes >= 0).astype(np.int8)
 
     def accuracy(self, samples: np.ndarray, labels: np.ndarray) -> float:
         """Fraction of correct predictions on a labelled dataset."""
@@ -131,84 +156,63 @@ class TsetlinMachine:
         return float((predictions == labels).mean())
 
     # --------------------------------------------------------------- training
-    def _clipped_sum(self, outputs: np.ndarray) -> int:
-        return int(np.clip(vote_sum(outputs), -self.threshold, self.threshold))
+    def _update(self, ones: np.ndarray, zeros: np.ndarray, label: int) -> None:
+        """One stochastic training update from a sample's literal planes.
 
-    def _type_i_feedback(self, clause_idx: int, clause_out: int, literals: np.ndarray) -> None:
-        """Type I feedback: reinforce true-positive patterns, forget noise."""
-        include = self.team.include_actions()[clause_idx]
+        Feedback to a clause changes only that clause's row of automata,
+        and always in one direction per literal: Type I moves the automata
+        of 1-literals towards include (``+1``) and of 0-literals towards
+        exclude (``-1``) when the clause fired, and every automaton towards
+        exclude when it did not; Type II moves the excluded automata of
+        0-literals towards include.  So the whole sample is one masked
+        ``+1``/``-1`` update of the state read once at the start, clamped to
+        ``[1, 2n]``, while the generator sees the per-clause draws in clause
+        order: one selection draw per clause, then two ``random(literals)``
+        draws for a selected Type I clause that fired and one for one that
+        did not.
+        """
+        team = self.team
+        state = team.state
+        include = state > team.num_states
+        fired = (~(include & zeros).any(axis=1)).tolist()  # empty clauses fire
+        votes = sum(fired[0::2]) - sum(fired[1::2])
+        threshold = self.threshold
+        clipped = min(max(votes, -threshold), threshold)
+        if label == 1:
+            p_feedback = (threshold - clipped) / (2.0 * threshold)
+        else:
+            p_feedback = (threshold + clipped) / (2.0 * threshold)
         boost = 1.0 / self.s
         strong = (self.s - 1.0) / self.s
-        row_mask = np.zeros_like(self.team.state, dtype=bool)
-        if clause_out == 1:
-            # Literals that are 1 support the pattern: with probability
-            # (s-1)/s push their automata towards *include* (reward the
-            # already-included ones, penalise the excluded ones so they cross
-            # the boundary).  Literals that are 0 contradict it: with
-            # probability 1/s push their automata towards *exclude*.
-            ones = literals == 1
-            zeros = ~ones
-            toward_include = ones & (self.rng.random(self.num_literals) < strong)
-            toward_exclude = zeros & (self.rng.random(self.num_literals) < boost)
-            row_mask[clause_idx] = toward_include & include
-            self.team.reward(row_mask)
-            row_mask[clause_idx] = toward_include & ~include
-            self.team.penalize(row_mask)
-            row_mask[clause_idx] = toward_exclude & include
-            self.team.penalize(row_mask)
-            row_mask[clause_idx] = toward_exclude & ~include
-            self.team.reward(row_mask)
-        else:
-            # Clause did not fire: gently push every automaton towards
-            # exclude with probability 1/s (erase unhelpful structure).
-            erase_mask = self.rng.random(self.num_literals) < boost
-            row_mask[clause_idx] = erase_mask & include
-            self.team.penalize(row_mask)
-            row_mask[clause_idx] = erase_mask & ~include
-            self.team.reward(row_mask)
-
-    def _type_ii_feedback(self, clause_idx: int, clause_out: int, literals: np.ndarray) -> None:
-        """Type II feedback: defeat false positives by including a blocking literal."""
-        if clause_out != 1:
-            return
-        include = self.team.include_actions()[clause_idx]
-        zeros = literals == 0
-        # Penalise excluded automata whose literal is 0: including such a
-        # literal forces the clause to 0 for this (wrongly matched) sample.
-        mask = np.zeros_like(self.team.state, dtype=bool)
-        mask[clause_idx] = zeros & ~include
-        self.team.penalize(mask)
+        random = self.rng.random
+        literals = self.num_literals
+        up = down = None
+        for clause in range(self.num_clauses):
+            if not random() < p_feedback:
+                continue
+            if up is None:
+                up = np.zeros(state.shape, dtype=bool)
+                down = np.zeros(state.shape, dtype=bool)
+            if (clause % 2 == 0) == (label == 1):  # Type I: recognise the pattern
+                if fired[clause]:
+                    up[clause] = ones & (random(literals) < strong)
+                    down[clause] = zeros & (random(literals) < boost)
+                else:
+                    down[clause] = random(literals) < boost
+            elif fired[clause]:  # Type II: block the false positive
+                # A clause that fired includes no 0-literal, so every
+                # 0-literal's automaton is an excluded one.
+                up[clause] = zeros
+        if up is not None:
+            state += up
+            state -= down
+            np.minimum(state, 2 * team.num_states, out=state)
+            np.maximum(state, 1, out=state)
 
     def train_sample(self, features: Sequence[int], label: int) -> None:
         """One stochastic training update for a single labelled sample."""
-        features = np.asarray(features, dtype=np.int8)
-        literals = literals_from_features(features)
-        outputs = self.clause_outputs(features, training=True)
-        clipped = self._clipped_sum(outputs)
-        label = int(bool(label))
-        if label == 1:
-            p_type_i = (self.threshold - clipped) / (2.0 * self.threshold)
-            p_type_ii = p_type_i
-        else:
-            p_type_i = (self.threshold + clipped) / (2.0 * self.threshold)
-            p_type_ii = p_type_i
-        for clause_idx in range(self.num_clauses):
-            positive_polarity = clause_idx % 2 == 0
-            clause_out = int(outputs[clause_idx])
-            if label == 1:
-                if positive_polarity:
-                    if self.rng.random() < p_type_i:
-                        self._type_i_feedback(clause_idx, clause_out, literals)
-                else:
-                    if self.rng.random() < p_type_ii:
-                        self._type_ii_feedback(clause_idx, clause_out, literals)
-            else:
-                if positive_polarity:
-                    if self.rng.random() < p_type_i:
-                        self._type_ii_feedback(clause_idx, clause_out, literals)
-                else:
-                    if self.rng.random() < p_type_i:
-                        self._type_i_feedback(clause_idx, clause_out, literals)
+        ones, zeros = _literal_planes(features)
+        self._update(ones, zeros, int(bool(label)))
 
     def fit(
         self,
@@ -217,19 +221,27 @@ class TsetlinMachine:
         epochs: int = 30,
         shuffle: bool = True,
     ) -> TrainingHistory:
-        """Train on a labelled dataset and return the per-epoch accuracy history."""
+        """Train on a labelled dataset and return the per-epoch accuracy history.
+
+        The literal planes are built once; each epoch walks the (shuffled)
+        samples through :meth:`train_sample`'s update and is then scored in
+        one matrix evaluation.
+        """
         samples = np.asarray(samples, dtype=np.int8)
         labels = np.asarray(labels, dtype=np.int8)
         if samples.shape[0] != labels.shape[0]:
             raise ValueError("samples and labels must have the same length")
+        ones, zeros = _literal_planes(samples)
+        targets = [int(bool(label)) for label in labels]
         history = TrainingHistory(epoch_accuracy=[])
         indices = np.arange(samples.shape[0])
         for _epoch in range(epochs):
             if shuffle:
                 self.rng.shuffle(indices)
-            for idx in indices:
-                self.train_sample(samples[idx], labels[idx])
-            history.epoch_accuracy.append(self.accuracy(samples, labels))
+            for idx in indices.tolist():
+                self._update(ones[idx], zeros[idx], targets[idx])
+            predictions = self._predict_planes(zeros)
+            history.epoch_accuracy.append(float((predictions == labels).mean()))
         return history
 
     # -------------------------------------------------------------- hardware

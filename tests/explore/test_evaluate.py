@@ -137,3 +137,28 @@ def test_sweep_store_integration(tmp_path):
     changed = dataclasses.replace(TINY, operands=7)
     third = run_sweep(TINY_GRID, changed, jobs=1, store=store)
     assert (third.evaluated, third.cached) == (3, 0)
+
+
+def test_training_spans_name_the_dataset_and_the_fit(monkeypatch):
+    """``dse.train`` splits into ``tm.dataset`` and ``tm.train``, and
+    ``default_workload`` records its fit as ``tm.train`` too."""
+    import repro.explore.evaluate as evaluate
+    from repro.analysis import default_workload
+    from repro.obs import trace
+
+    monkeypatch.setattr(evaluate, "_WORKLOAD_CACHE", {})
+    trace.reset()
+    trace.enable()
+    try:
+        evaluate.build_spec_workload(spec_for("dual-rail-reduced"), TINY)
+        default_workload(num_operands=2, epochs=1)
+        records = trace.records()
+    finally:
+        trace.disable()
+        trace.reset()
+    (outer,) = [r for r in records if r.name == "dse.train"]
+    (dataset,) = [r for r in records if r.name == "tm.dataset"]
+    fits = [r for r in records if r.name == "tm.train"]
+    assert dataset.parent_id == outer.span_id
+    assert [fit.parent_id for fit in fits] == [outer.span_id, None]
+    assert fits[0].attrs["epochs"] == TINY.epochs and fits[0].attrs["samples"] > 0

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +111,47 @@ def test_claim_is_exclusive_and_released_cleanly(tmp_path):
     assert b.try_claim(task) is not None  # free again after clean release
 
 
+def test_rival_claim_midway_through_a_lease_write_cannot_also_win(tmp_path, monkeypatch):
+    """Owner ``b`` claims while owner ``a`` is writing its lease payload.
+
+    An in-place write (create the lease name, then write the payload into
+    it) exposes an empty lease file; the rival reads it as corrupt,
+    reclaims it, and both owners hold the point.  A lease published whole
+    leaves the rival nothing to read until the payload is in place.  The
+    hook wraps both primitives a lease payload may be written with.
+    """
+    write_manifest(tmp_path, smoke_specs(1), settings=FAST_SETTINGS)
+    a = WorkQueue(tmp_path, owner="a", lease_ttl=60.0)
+    b = WorkQueue(tmp_path, owner="b", lease_ttl=60.0)
+    task = a.tasks()[0]
+    rival = []
+
+    def run_rival_once(data):
+        if not rival and '"owner": "a"' in data and '"deadline"' in data:
+            rival.append(b.try_claim(task))
+
+    write, write_text = os.write, Path.write_text
+
+    def hooked_write(fd, data):
+        run_rival_once(bytes(data).decode("utf-8", "replace"))
+        return write(fd, data)
+
+    def hooked_write_text(self, data, *args, **kwargs):
+        run_rival_once(data)
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(os, "write", hooked_write)
+    monkeypatch.setattr(Path, "write_text", hooked_write_text)
+    lease_a = a.try_claim(task)
+    monkeypatch.undo()
+    assert len(rival) == 1, "the rival never ran inside the payload write"
+    holders = [lease.owner for lease in (lease_a, rival[0]) if lease is not None]
+    assert len(holders) == 1
+    on_disk = json.loads((a.leases_dir / f"{task.key}.json").read_text())
+    assert on_disk["owner"] == holders[0]
+    assert [p.name for p in a.leases_dir.iterdir()] == [f"{task.key}.json"]
+
+
 def test_failed_release_counts_attempts_across_owners(tmp_path):
     write_manifest(tmp_path, smoke_specs(1), settings=FAST_SETTINGS)
     a = WorkQueue(tmp_path, owner="a", max_attempts=2)
@@ -136,7 +179,7 @@ class _RacedStore(ResultStore):
     It reproduces, deterministically, the window between a caller's store
     check and its claim: owner ``a`` claims, evaluates and completes the
     point (``complete`` writes the entry, then unlinks the lease), so the
-    caller's ``O_EXCL`` claim that follows finds no lease in its way.
+    caller's claim that follows finds no lease in its way.
     """
 
     def __init__(self, directory, task, evaluations):

@@ -5,7 +5,7 @@ this file covers what those netlists never reach: every combinational cell
 type under every 0/1/X input combination in one mixed level (MAJ3,
 XOR2/XNOR2, the AOI/OAI/AO/OA complex gates and the reduce steps' padding
 rows), the error surfaces, the bulk stimulus pack's edge inputs, the
-rest-state memo key, and when the kernel is built.
+rest-state memo key, and when the plan and the kernel are built.
 """
 
 from __future__ import annotations
@@ -13,6 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.measure import (
+    build_mapped_dual_rail,
+    random_workload,
+    spacer_assignments,
+    workload_input_planes,
+)
 from repro.circuits.gates import GATE_REGISTRY
 from repro.circuits.netlist import Netlist
 from repro.sim import compile_program, kernels
@@ -244,3 +250,35 @@ def test_kernel_is_built_on_first_run_arrays_not_in_the_constructor(monkeypatch)
     backend.run_arrays({"a": 0, "b": 1})
     BitpackBackend(program=program).run_arrays({"a": 1})
     assert calls == [program]
+
+
+def test_timed_engine_builds_the_plan_but_no_kernel(umc, monkeypatch):
+    """The timed engine runs the memoized plan alone: no reduce tables are
+    built until a functional run needs them, and both engines share the
+    one plan."""
+    workload = random_workload(num_features=2, clauses_per_polarity=2,
+                               num_operands=4, seed=3)
+    mapped = build_mapped_dual_rail(workload.config, umc)
+    plans, tables = [], []
+    build_plan, build_tables = kernels.build_grouped_plan, kernels.FusedKernel.__init__
+
+    def counting_plan(prog):
+        plans.append(prog)
+        return build_plan(prog)
+
+    def counting_tables(self, prog):
+        tables.append(prog)
+        build_tables(self, prog)
+
+    monkeypatch.setattr(kernels, "build_grouped_plan", counting_plan)
+    monkeypatch.setattr(kernels.FusedKernel, "__init__", counting_tables)
+    backend = BitpackBackend(mapped.circuit.netlist, umc)
+    planes = workload_input_planes(mapped.circuit, mapped.datapath, workload)
+    spacer = spacer_assignments(mapped.circuit)
+    backend.run_timed(planes, spacer)
+    program = backend.program
+    assert plans == [program] and tables == []
+    backend.run_arrays(planes, baseline=spacer)
+    backend.run_timed(planes, spacer)
+    assert plans == [program] and tables == [program]
+    assert kernels.fused_kernel(program).plan is kernels.grouped_plan(program)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.circuits.library import CellLibrary, default_libraries, full_diffusion_library
-from repro.core.completion import GracePeriod, compute_grace_period
+from repro.core.completion import GracePeriod, grace_period_from_report
 from repro.core.dual_rail import DualRailCircuit, OneOfNSignal, decode_pair
 from repro.core.one_of_n import decode_one_of_n
 from repro.datapath.datapath import (
@@ -251,7 +251,8 @@ def build_mapped_dual_rail(
     This is the one construction path for every dual-rail measurement:
     datapath assembly, technology mapping with the unate-cell check
     (Requirement 2), interface re-binding onto the mapped netlist, and the
-    reduced-CD grace period at the measurement supply.
+    reduced-CD grace period at the measurement supply, read off the
+    synthesis timing report (one STA per mapped netlist).
     """
     with _trace.span("measure.map", library=library.name):
         datapath = DualRailDatapath(config, library=library)
@@ -260,7 +261,7 @@ def build_mapped_dual_rail(
             enforce_unate=True,
         )
         circuit = rebind_interface(datapath.circuit, synthesis)
-        grace = compute_grace_period(circuit, library, vdd=vdd)
+        grace = grace_period_from_report(circuit, synthesis.timing)
     return MappedDualRail(
         config=config,
         library=library,

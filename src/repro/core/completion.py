@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.circuits.builder import LogicBuilder
 from repro.circuits.library import CellLibrary
 
 from .dual_rail import DualRailCircuit, DualRailSignal, OneOfNSignal, SpacerPolarity
+
+if TYPE_CHECKING:  # repro.sim imports this package
+    from repro.sim.sta import TimingReport
 
 
 @dataclass
@@ -233,7 +236,20 @@ def compute_grace_period(
     """
     from repro.sim.sta import static_timing_analysis
 
-    report = static_timing_analysis(circuit.netlist, library, vdd=vdd)
+    return grace_period_from_report(
+        circuit, static_timing_analysis(circuit.netlist, library, vdd=vdd)
+    )
+
+
+def grace_period_from_report(
+    circuit: DualRailCircuit, report: "TimingReport"
+) -> GracePeriod:
+    """The grace period of :func:`compute_grace_period` from an existing STA.
+
+    *report* must be the non-sequential analysis of ``circuit.netlist``
+    (what :func:`~repro.synth.flow.synthesize` records for a dual-rail
+    netlist), so a mapped design needs one timing analysis, not two.
+    """
     output_rails = set(circuit.all_output_rails())
     if circuit.done_net is not None:
         output_rails.add(circuit.done_net)

@@ -27,17 +27,34 @@ answer the functional questions too, so it records ``"vectorized"`` for
 both.  All modes share :mod:`repro.analysis.measure`, so a DSE point is
 measured the same way the paper-reproduction harnesses measure.
 
+Supply points
+-------------
+The library model scales every cell delay, switching energy and leakage by
+one per-library factor of the supply (:class:`~repro.circuits.library.VoltageModel`).
+A design is therefore characterised once, at its nominal supply, and every
+other supply point of it is derived from that record: latencies times the
+delay factor, throughput divided by it, energy and leakage times their
+factors, everything functional unchanged.  A clocked design's period is
+re-margined from its scaled STA critical delay, because the clock
+uncertainty does not scale.  Clocked points derive in every mode and
+dual-rail points under vectorized timing; dual-rail points under event
+timing (the oracle, and the hybrid default) still simulate each supply.
+``tests/explore/test_supply_derivation.py`` holds every derived point to
+the direct measurement at its supply.
+
 :func:`run_sweep` fans a grid out through
 :func:`repro.analysis.runner.run_parallel` under the pinned determinism
 contract — every point is seeded from its spec and settings alone, so
-``jobs=1`` and ``jobs=N`` produce bit-identical records — and consults a
-:class:`~repro.explore.store.ResultStore` so unchanged points are never
-re-evaluated.
+``jobs=1`` and ``jobs=N`` produce bit-identical records — one work unit per
+design, so a design's supply points share its nominal characterisation.
+It consults a :class:`~repro.explore.store.ResultStore` so unchanged points
+are never re-evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,11 +70,12 @@ from repro.analysis.measure import (
 )
 from repro.analysis.experiments import measure_dual_rail, measure_single_rail
 from repro.analysis.runner import run_parallel
-from repro.analysis.throughput import dual_rail_throughput
+from repro.analysis.throughput import dual_rail_throughput, synchronous_throughput
 from repro.circuits.library import CellLibrary, default_libraries
 from repro.datapath.datapath import DatapathConfig
 from repro.datapath.styles import check_style, is_dual_rail, style_config
 from repro.obs import trace as _trace
+from repro.sim.sta import clock_period_from_critical
 from repro.tm.datasets import make_dataset
 from repro.tm.inference import InferenceModel
 from repro.tm.machine import TsetlinMachine
@@ -123,8 +141,10 @@ class DesignPoint:
     the event-driven environment (``"event"``) or the vectorized engines
     (``"vectorized"``; vectorized timing also raises ``timed_operands`` to
     the full stream, since timing the whole stream is then as cheap as the
-    functional pass).  Clocked points are always event-simulated and record
-    ``"event"`` in both.
+    functional pass).  Clocked points are event-simulated at nominal in
+    every mode and record ``"event"`` in both.  A point at a non-nominal
+    supply may be derived from its design's nominal record (see the module
+    docstring); it records the same engines.
     """
 
     spec: DesignPointSpec
@@ -255,6 +275,19 @@ def _resolved_vdd(spec: DesignPointSpec, library: CellLibrary) -> float:
     )
 
 
+@dataclass(frozen=True)
+class _Characterisation:
+    """A design measured at one supply.
+
+    ``critical_ps`` is a clocked design's STA critical delay (the
+    register-to-register analysis its clock period is margined from);
+    ``None`` for dual-rail designs.
+    """
+
+    point: DesignPoint
+    critical_ps: Optional[float] = None
+
+
 def _evaluate_dual_rail(
     spec: DesignPointSpec,
     settings: EvaluationSettings,
@@ -340,7 +373,7 @@ def _evaluate_synchronous(
     workload: Workload,
     accuracy: float,
     library: CellLibrary,
-) -> DesignPoint:
+) -> _Characterisation:
     # The clocked baseline has no vectorized evaluator (flip-flop state is
     # inherently sequential), so every mode runs the event measurement and
     # the point records "event" for both engines; its latency is the STA
@@ -348,7 +381,7 @@ def _evaluate_synchronous(
     measurement = measure_single_rail(workload, library, vdd=spec.vdd)
     period = measurement.clock_period_ps
     metrics = measurement.synthesis.metrics()
-    return DesignPoint(
+    point = DesignPoint(
         spec=spec,
         backend="event",
         vdd=_resolved_vdd(spec, library),
@@ -365,6 +398,105 @@ def _evaluate_synchronous(
         cell_count=metrics["cell_count"],
         throughput_mops=measurement.throughput_millions,
         timed_operands=workload.num_operands,
+    )
+    return _Characterisation(point, measurement.synthesis.timing.critical_delay)
+
+
+# One-entry memo of the last design's nominal characterisation.  A design's
+# supply points are adjacent in expansion order (supply is the last grid
+# axis), so one entry serves all of them and memory stays flat; a miss
+# measures the nominal twin again, which cannot change a result because the
+# value is a pure function of the key.
+_NOMINAL_MEMO: Dict[Tuple, _Characterisation] = {}
+
+
+def _derives_from_nominal(style: str, timing_backend: str) -> bool:
+    """Whether a *style* point at another supply is derived, not simulated."""
+    return not is_dual_rail(style) or timing_backend == "vectorized"
+
+
+def _measure(
+    spec: DesignPointSpec,
+    settings: EvaluationSettings,
+    library: CellLibrary,
+    backend: str,
+    timing_backend: str,
+    program_cache: Optional[str],
+) -> _Characterisation:
+    """Train, map and simulate *spec* at its own supply."""
+    workload, accuracy = build_spec_workload(spec, settings)
+    if is_dual_rail(spec.style):
+        return _Characterisation(_evaluate_dual_rail(
+            spec, settings, workload, accuracy, library, backend,
+            timing_backend, program_cache=program_cache,
+        ))
+    return _evaluate_synchronous(spec, settings, workload, accuracy, library)
+
+
+def _nominal(
+    design: DesignPointSpec,
+    settings: EvaluationSettings,
+    library: CellLibrary,
+    backend: str,
+    timing_backend: str,
+    program_cache: Optional[str],
+) -> _Characterisation:
+    """The nominal characterisation of the vdd-free *design*, memoised.
+
+    The key carries the library fingerprint, so an edited library never
+    reuses a stale entry.  Clocked designs leave the engine names out: every
+    mode measures them the same way.
+    """
+    engines = (backend, timing_backend) if is_dual_rail(design.style) else ()
+    key = (design, settings, *engines, library_fingerprint(library))
+    nominal = _NOMINAL_MEMO.get(key)
+    if nominal is None:
+        nominal = _measure(
+            design, settings, library, backend, timing_backend, program_cache
+        )
+        _NOMINAL_MEMO.clear()
+        _NOMINAL_MEMO[key] = nominal
+    return nominal
+
+
+def _at_supply(
+    nominal: _Characterisation, spec: DesignPointSpec, library: CellLibrary
+) -> DesignPoint:
+    """*nominal*'s design at ``spec.vdd``, derived from the library factors.
+
+    Latencies scale by the delay factor and throughput by its inverse;
+    energy and leakage scale by their own factors; area, correctness,
+    accuracy and the recorded engines are the nominal ones.  A clocked
+    period is margined again from the scaled critical delay, because its
+    clock uncertainty is a fixed term.
+    """
+    model = library.voltage_model
+    vdd = float(spec.vdd)
+    delay = model.delay_factor(vdd)
+    point = nominal.point
+    if nominal.critical_ps is None:
+        mean, p95, worst = (
+            latency * delay
+            for latency in (
+                point.mean_latency_ps, point.p95_latency_ps, point.max_latency_ps
+            )
+        )
+        throughput = point.throughput_mops / delay
+    else:
+        mean = p95 = worst = clock_period_from_critical(nominal.critical_ps * delay)
+        throughput = synchronous_throughput(mean).millions_per_second
+    return replace(
+        point,
+        spec=spec,
+        vdd=vdd,
+        mean_latency_ps=mean,
+        p95_latency_ps=p95,
+        max_latency_ps=worst,
+        throughput_mops=throughput,
+        energy_per_inference_fj=(
+            point.energy_per_inference_fj * model.energy_factor(vdd)
+        ),
+        leakage_nw=point.leakage_nw * model.leakage_factor(vdd),
     )
 
 
@@ -392,6 +524,12 @@ def evaluate_point(
     :class:`~repro.sim.program_cache.ProgramCache` instead of recompiling
     the netlist; it never changes what is measured (cached programs are
     bit-identical), so it is deliberately *not* part of the store key.
+
+    A point at a non-nominal supply is derived from its design's nominal
+    characterisation wherever the module docstring says so; the nominal
+    record is memoised per process and measured first on a miss, so the
+    result does not depend on what ran before.  Its ``dse.point`` span
+    carries ``derived=True``.
     """
     spec = spec.validate().normalized()
     settings.validate()
@@ -402,25 +540,40 @@ def evaluate_point(
             f"{spec.label()} is infeasible: {spec.vdd} V is below the "
             f"functional floor of {spec.library}"
         )
-    with _trace.span("dse.point", label=spec.label(), backend=backend):
+    derives = _derives_from_nominal(spec.style, timing_backend)
+    with _trace.span("dse.point", label=spec.label(), backend=backend,
+                     derived=derives and spec.vdd is not None):
         library = default_libraries()[spec.library]
-        workload, accuracy = build_spec_workload(spec, settings)
-        if is_dual_rail(spec.style):
-            return _evaluate_dual_rail(
-                spec, settings, workload, accuracy, library, backend,
-                timing_backend, program_cache=program_cache,
-            )
-        return _evaluate_synchronous(spec, settings, workload, accuracy, library)
+        if not derives:
+            return _measure(
+                spec, settings, library, backend, timing_backend, program_cache
+            ).point
+        nominal = _nominal(
+            replace(spec, vdd=None), settings, library, backend,
+            timing_backend, program_cache,
+        )
+        if spec.vdd is None:
+            return replace(nominal.point)
+        return _at_supply(nominal, spec, library)
 
 
 def _sweep_worker(
-    item: Tuple[DesignPointSpec, EvaluationSettings, str, str, Optional[str]]
-) -> dict:
-    """Process-pool work unit of :func:`run_sweep` (pickle-friendly dicts)."""
-    spec, settings, backend, timing_backend, program_cache = item
-    return evaluate_point(
-        spec, settings, backend, timing_backend, program_cache=program_cache
-    ).to_dict()
+    item: Tuple[Tuple[DesignPointSpec, ...], EvaluationSettings, str, str,
+                Optional[str]]
+) -> List[dict]:
+    """Process-pool work unit of :func:`run_sweep`: one design's points.
+
+    Calls the module-level :func:`evaluate_point` once per point, in order,
+    so the design's supply points derive from the nominal record its first
+    point leaves in this process.  Returns pickle-friendly dicts.
+    """
+    specs, settings, backend, timing_backend, program_cache = item
+    return [
+        evaluate_point(
+            spec, settings, backend, timing_backend, program_cache=program_cache
+        ).to_dict()
+        for spec in specs
+    ]
 
 
 @dataclass
@@ -476,9 +629,10 @@ def run_sweep(
     """Evaluate a grid (or explicit spec list), cached and in parallel.
 
     Store lookups happen up front in the calling process; only misses are
-    fanned out through :func:`~repro.analysis.runner.run_parallel` (one spec
-    per work unit — chunk boundaries therefore cannot affect results), and
-    fresh results are written back before returning.  The returned points
+    fanned out through :func:`~repro.analysis.runner.run_parallel`, one work
+    unit per run of adjacent misses that share a vdd-free design (a point is
+    a pure function of its key, so unit boundaries cannot affect results),
+    and fresh results are written back before returning.  The returned points
     are in grid-expansion order regardless of ``jobs`` or cache state.
     *timing_backend* is part of the store key (a timed point and an
     event-timed point are different measurements of the same spec).  Both
@@ -528,19 +682,27 @@ def run_sweep(
             if hit is not None:
                 resolved[index] = hit
     todo = [i for i in range(len(specs)) if i not in resolved]
+    units = [
+        list(run)
+        for _, run in groupby(todo, key=lambda i: replace(specs[i], vdd=None))
+    ]
     fresh = run_parallel(
         _sweep_worker,
         [
-            (specs[i], settings, backend, timing_backend, program_cache)
-            for i in todo
+            (
+                tuple(specs[i] for i in unit), settings, backend,
+                timing_backend, program_cache,
+            )
+            for unit in units
         ],
         jobs=jobs,
     )
-    for index, record in zip(todo, fresh):
-        point = DesignPoint.from_dict(record)
-        resolved[index] = point
-        if store is not None:
-            store.put(keys[index], point)
+    for unit, records in zip(units, fresh):
+        for index, record in zip(unit, records):
+            point = DesignPoint.from_dict(record)
+            resolved[index] = point
+            if store is not None:
+                store.put(keys[index], point)
     return SweepResult(
         points=[resolved[i] for i in range(len(specs))],
         evaluated=len(todo),

@@ -46,7 +46,7 @@ __all__ = [
 
 #: Bump when datapath construction, mapping or measurement semantics change
 #: in a way that alters what a stored DesignPoint would contain.
-EVALUATOR_VERSION = 1
+EVALUATOR_VERSION = 2
 
 _STORE_SUFFIX = ".json"
 

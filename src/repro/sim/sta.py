@@ -200,6 +200,23 @@ def static_timing_analysis(
     )
 
 
+def clock_period_from_critical(
+    critical_delay: float,
+    setup_margin: float = 0.10,
+    clock_uncertainty: float = 60.0,
+) -> float:
+    """Clock period (ps) of a synchronous design whose critical path is *critical_delay*.
+
+    The critical path plus the flip-flop setup time approximation and a
+    fixed clock-uncertainty margin.  ``setup_margin`` is expressed as a
+    fraction of the critical path (a simple but adequate stand-in for
+    per-cell setup data).  The uncertainty does not scale with the supply,
+    so a period at another supply comes from the critical delay there, not
+    from scaling a period.
+    """
+    return critical_delay * (1.0 + setup_margin) + clock_uncertainty
+
+
 def register_to_register_period(
     netlist: Netlist,
     library: CellLibrary,
@@ -210,16 +227,15 @@ def register_to_register_period(
     """Minimum clock period (ps) of a synchronous netlist.
 
     The period is the worst launch-to-capture path (input or register output
-    through combinational logic to a register input or primary output) plus
-    the flip-flop setup time approximation and a fixed clock-uncertainty
-    margin.  ``setup_margin`` is expressed as a fraction of the critical path
-    (a simple but adequate stand-in for per-cell setup data).
+    through combinational logic to a register input or primary output),
+    margined by :func:`clock_period_from_critical`.
     """
     report = static_timing_analysis(
         netlist, library, vdd=vdd, break_at_sequential=True
     )
-    critical = report.critical_delay
-    return critical * (1.0 + setup_margin) + clock_uncertainty
+    return clock_period_from_critical(
+        report.critical_delay, setup_margin, clock_uncertainty
+    )
 
 
 def arrival_of_nets(report: TimingReport, nets: Iterable[str]) -> float:

@@ -21,7 +21,7 @@ from repro.circuits.validate import (
     check_structure,
     check_unate_only,
 )
-from repro.sim.sta import TimingReport, register_to_register_period
+from repro.sim.sta import TimingReport, clock_period_from_critical
 
 from .mapping import map_to_library
 from .reports import AreaReport, LeakageReport, area_report, leakage_report, timing_report
@@ -127,8 +127,9 @@ def synthesize(
     area = area_report(mapped, library)
     leak = leakage_report(mapped, library, vdd=vdd)
     timing = timing_report(mapped, library, vdd=vdd, break_at_sequential=clocked)
+    # A clocked timing report is the register-to-register analysis itself.
     clock_period = (
-        register_to_register_period(mapped, library, vdd=vdd) if clocked else None
+        clock_period_from_critical(timing.critical_delay) if clocked else None
     )
     hdl = None
     if export is not None:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
+import repro.explore.evaluate as evaluate
 from repro.explore import (
     DesignPoint,
     DesignPointSpec,
@@ -97,13 +99,16 @@ def test_event_and_batch_backends_agree_functionally():
 
 
 def test_synchronous_point_records_the_event_engine_in_every_mode():
-    """A clocked point is always event-simulated, so every mode records that."""
-    default = evaluate_point(spec_for("sync"), TINY)
-    assert (default.backend, default.timing_backend) == ("event", "event")
-    for backend, timing_backend in (("event", "event"), ("vectorized", "vectorized")):
-        point = evaluate_point(spec_for("sync"), TINY, backend=backend,
-                               timing_backend=timing_backend)
-        assert point == default
+    """A clocked point is event-simulated at nominal in every mode (its other
+    supplies derive from that), so every mode gives the same record."""
+    for vdd in (None, 0.8):
+        default = evaluate_point(spec_for("sync", vdd=vdd), TINY)
+        assert (default.backend, default.timing_backend) == ("event", "event")
+        for backend, timing_backend in (("event", "event"),
+                                        ("vectorized", "vectorized")):
+            point = evaluate_point(spec_for("sync", vdd=vdd), TINY,
+                                   backend=backend, timing_backend=timing_backend)
+            assert point == default, vdd
 
 
 def test_infeasible_point_is_rejected():
@@ -123,6 +128,36 @@ def test_sweep_jobs_invariance_and_order():
     parallel = run_sweep(TINY_GRID, TINY, jobs=3)
     assert [p.to_dict() for p in serial.points] == [p.to_dict() for p in parallel.points]
     assert [p.spec for p in serial.points] == list(TINY_GRID.expand().points)
+
+
+#: Two designs at three supplies: one work unit per design.
+SUPPLY_GRID = dataclasses.replace(
+    TINY_GRID, name="supplies", styles=("dual-rail-reduced", "sync"),
+    vdds=(None, 0.8, 0.6),
+)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="fork start method unavailable")
+def test_derived_supply_points_identical_across_work_units(tmp_path, monkeypatch):
+    """``jobs=1`` ≡ ``jobs=3`` ≡ memo-cold ≡ ``workers=2``, byte for byte."""
+
+    def records(result):
+        return [point.to_dict() for point in result.points]
+
+    serial = records(run_sweep(SUPPLY_GRID, TINY, jobs=1, timing_backend="vectorized"))
+    assert len(serial) == 6
+    parallel = run_sweep(SUPPLY_GRID, TINY, jobs=3, timing_backend="vectorized")
+    assert records(parallel) == serial
+    # Without the nominal points in the grid every supply point misses the
+    # memo and measures its nominal twin first.
+    monkeypatch.setattr(evaluate, "_NOMINAL_MEMO", {})
+    cold = run_sweep(dataclasses.replace(SUPPLY_GRID, vdds=(0.8, 0.6)), TINY,
+                     jobs=1, timing_backend="vectorized")
+    assert records(cold) == [r for r in serial if r["spec"]["vdd"] is not None]
+    queued = run_sweep(SUPPLY_GRID, TINY, timing_backend="vectorized", workers=2,
+                       store=ResultStore(tmp_path), lease_ttl=20.0)
+    assert records(queued) == serial
 
 
 def test_sweep_store_integration(tmp_path):

@@ -211,6 +211,25 @@ def test_timed_fuzz_seeds_span_the_shape_space():
     assert {config.latch_inputs for config, _ in shapes} == {False, True}
 
 
+def _timed_workload(seed, config):
+    """*seed*'s operand stream of ``TIMED_OPERANDS`` operands for *config*."""
+    return dataclasses.replace(
+        random_workload(
+            config.num_features, config.clauses_per_polarity,
+            num_operands=TIMED_OPERANDS, seed=seed,
+        ),
+        config=config,
+    )
+
+
+def _delay_variation(seed, netlist):
+    """*seed*'s per-instance delay multipliers, uniform in [0.8, 1.25]."""
+    spread = np.random.default_rng(seed + 1)
+    return {
+        cell.name: float(spread.uniform(0.8, 1.25)) for cell in netlist.iter_cells()
+    }
+
+
 def _event_run(mapped, workload, variation):
     """Drive *workload* through the event environment; ``(sim, results)``."""
     simulator = GateLevelSimulator(
@@ -249,20 +268,8 @@ def test_timed_engine_matches_event_simulator(seed, varied):
     mapped = build_mapped_dual_rail(config, library)
     circuit = mapped.circuit
     netlist = circuit.netlist
-    workload = dataclasses.replace(
-        random_workload(
-            config.num_features, config.clauses_per_polarity,
-            num_operands=TIMED_OPERANDS, seed=seed,
-        ),
-        config=config,
-    )
-    variation = None
-    if varied:
-        spread = np.random.default_rng(seed + 1)
-        variation = {
-            cell.name: float(spread.uniform(0.8, 1.25))
-            for cell in netlist.iter_cells()
-        }
+    workload = _timed_workload(seed, config)
+    variation = _delay_variation(seed, netlist) if varied else None
     simulator, results = _event_run(mapped, workload, variation)
     backend = BitpackBackend(netlist, library, vdd=mapped.vdd)
     timed = backend.run_timed(
@@ -328,3 +335,79 @@ def test_timed_engine_matches_event_simulator(seed, varied):
     assert float(timed.settle_time("reset").max()) <= bound + eps, _context(
         seed, program, f"internal reset beyond t_io + td (variation={varied})"
     )
+
+
+#: A supply scales every delay and energy by one factor; derived and direct
+#: values differ by float re-association only.
+SCALE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("varied", [False, True], ids=["nominal", "variation"])
+@pytest.mark.parametrize("seed", TIMED_FUZZ_SEEDS)
+def test_supply_is_a_scale_factor(seed, varied):
+    """Timing at any supply is the nominal timing times one library factor.
+
+    The DSE derives a design's supply points from its nominal record on the
+    strength of this: STA arrivals, the grace period and the timed engine's
+    per-sample t(S->V), t(V->S) and internal reset equal the nominal ones
+    times ``delay_factor(vdd)``, per-sample energy the nominal one times
+    ``energy_factor(vdd)``, and values and activity do not move.  A library
+    with per-cell voltage sensitivity fails here.
+    """
+    _, config, library = _fuzz_shape(seed)
+    model = library.voltage_model
+    vdd = float(
+        np.random.default_rng(seed + 2).uniform(model.min_functional_vdd, 1.2)
+    )
+    delay, energy = model.delay_factor(vdd), model.energy_factor(vdd)
+    nominal = build_mapped_dual_rail(config, library)
+    scaled = build_mapped_dual_rail(config, library, vdd=vdd)
+    workload = _timed_workload(seed, config)
+    variation = (
+        _delay_variation(seed, nominal.circuit.netlist) if varied else None
+    )
+    context = f"supply {vdd:.4f} V (seed={seed}, variation={varied})"
+
+    def scales(actual, reference, factor, what):
+        np.testing.assert_allclose(
+            actual, np.asarray(reference) * factor, rtol=SCALE_RTOL, atol=0.0,
+            err_msg=f"{what} at {context}",
+        )
+
+    base_sta, sta = (
+        static_timing_analysis(
+            mapped.circuit.netlist, library, vdd=mapped.vdd,
+            delay_variation=variation,
+        )
+        for mapped in (nominal, scaled)
+    )
+    assert sta.arrival.keys() == base_sta.arrival.keys(), context
+    nets = sorted(sta.arrival)
+    scales([sta.arrival[n] for n in nets], [base_sta.arrival[n] for n in nets],
+           delay, "STA arrivals")
+    grace, base_grace = scaled.grace, nominal.grace
+    scales([grace.t_int, grace.t_io, grace.td],
+           [base_grace.t_int, base_grace.t_io, base_grace.td], delay, "grace period")
+    scales(_reduced_cd_bound(scaled.circuit, sta),
+           _reduced_cd_bound(nominal.circuit, base_sta), delay, "t_io + td")
+
+    base_run, run = (
+        BitpackBackend(mapped.circuit.netlist, library, vdd=mapped.vdd).run_timed(
+            workload_input_planes(mapped.circuit, mapped.datapath, workload),
+            spacer_assignments(mapped.circuit),
+            delay_variation=variation,
+        )
+        for mapped in (nominal, scaled)
+    )
+    rails = nominal.circuit.all_output_rails()
+    for phase, what in (("valid", "t(S->V)"), ("reset", "t(V->S)")):
+        scales(run.max_arrival(rails, phase), base_run.max_arrival(rails, phase),
+               delay, what)
+    scales(run.settle_time("reset"), base_run.settle_time("reset"), delay,
+           "internal reset")
+    scales(run.energy_per_sample_fj, base_run.energy_per_sample_fj, energy,
+           "per-sample energy")
+    assert run.values.index == base_run.values.index, context
+    assert np.array_equal(run.values.matrix, base_run.values.matrix), context
+    assert run.spacer_values == base_run.spacer_values, context
+    assert run.activity_by_cell == base_run.activity_by_cell, context
